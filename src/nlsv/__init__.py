@@ -43,7 +43,6 @@ from .model import (
 from .params import Family, Measure, ModelSpec, ParamVector, State
 from .rng import RngStream
 from .simulate import (
-    LatticePath,
     PathEnsemble,
     brownian_bridge_fill,
     conditional_expectation,

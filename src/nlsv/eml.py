@@ -27,15 +27,11 @@ import numpy as np
 
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import brownian_bridge_fill, modified_bridge_fill
+from .simulate import bridge_path, brownian_bridge_fill, modified_bridge_fill
 
 #: Condition-number threshold above which the normal equations are
 #: reported as ill-conditioned instead of solved.
 COND_THRESHOLD = 1e12
-
-#: Default Monte Carlo draws per bridge expectation; reuses the
-#: simulated-likelihood draw budget S = M^2.
-DEFAULT_N_BRIDGES = 576
 
 
 class IllConditionedSystem(RuntimeError):
@@ -81,10 +77,6 @@ class LinearSystem:
             raise IllConditionedSystem(np.inf, "Gram matrix has a non-positive diagonal")
         scale = 1.0 / np.sqrt(diag)
         return self.gram * np.outer(scale, scale), scale
-
-    def condition(self) -> float:
-        scaled, _ = self._equilibrated()
-        return float(np.linalg.cond(scaled))
 
     def solve(self, cond_threshold: float = COND_THRESHOLD) -> np.ndarray:
         scaled, scale = self._equilibrated()
@@ -189,7 +181,7 @@ def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
 
 
 def assemble_system(
-    x_obs: Sequence[float],
+    x_obs: Sequence[float] | None,
     y_obs: Sequence[float],
     delta_obs: float,
     aug_steps: int,
@@ -214,8 +206,12 @@ def assemble_system(
     feeds the price equation's offset a leverage residual that no longer
     cancels, attenuating the estimated price drift; the scaled fill keeps
     both equations consistent, so the drift solvers always use it.
+
+    ``x_obs=None`` assembles a basis that reads y alone, as the variance
+    equation's does: only the log-variance coordinate is filled, which is
+    the same for both bridges, and the basis receives None for x.
     """
-    x_obs = np.asarray(x_obs, dtype=float)
+    x_obs = None if x_obs is None else np.asarray(x_obs, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     n_intervals = len(y_obs) - 1
     if n_intervals < 2:
@@ -224,7 +220,6 @@ def assemble_system(
         raise DomainViolation("n_bridges must be >= 1")
     delta = delta_obs / aug_steps
     size = basis.size
-    obs = np.stack([x_obs, y_obs], axis=-1)
 
     idx = np.arange(1, n_intervals)
     if eps is None:
@@ -234,38 +229,52 @@ def assemble_system(
     for lo in range(0, len(idx), chunk_size):
         hi = min(lo + chunk_size, len(idx))
         block = idx[lo:hi]
-        u0 = obs[block][:, None, :]      # (B, 1, 2) broadcasting over draws
-        u1 = obs[block + 1][:, None, :]
         eps_blk = eps[lo:hi]             # (B, R, M-1, 2)
-        if params is None:
-            aux = brownian_bridge_fill(u0, u1, aug_steps, delta, eps=eps_blk)
+        # Lattice points m = 0..M of every fill, endpoints included.
+        y = _lattice(y_obs, block, n_bridges, aug_steps)
+        if x_obs is None:
+            x0 = x1 = None
+            y[..., 1:-1] = bridge_path(
+                y_obs[block, None], y_obs[block + 1, None], aug_steps, eps_blk[..., 1]
+            )
         else:
-            aux = modified_bridge_fill(u0, u1, aug_steps, delta, params, eps=eps_blk)
-        # Lattice points m = 0..M-1 and their successors m = 1..M.
-        shape = (len(block), n_bridges, 1, 2)
-        start = np.concatenate([np.broadcast_to(u0[:, :, None, :], shape), aux], axis=2)
-        stop = np.concatenate([aux, np.broadcast_to(u1[:, :, None, :], shape)], axis=2)
-        fvals = np.stack([f(start[..., 0], start[..., 1]) for f in basis.functions])
-        gvals = basis.offset(stop[..., 0], stop[..., 1], start[..., 0], start[..., 1], delta)
-        if not (np.all(np.isfinite(fvals)) and np.all(np.isfinite(gvals))):
-            bad = block[
-                ~(
-                    np.all(np.isfinite(fvals), axis=(0, 2, 3))
-                    & np.all(np.isfinite(gvals), axis=(1, 2))
-                )
-            ]
+            x = _lattice(x_obs, block, n_bridges, aug_steps)
+            u0 = np.stack([x_obs[block], y_obs[block]], axis=-1)[:, None]   # (B, 1, 2)
+            u1 = np.stack([x_obs[block + 1], y_obs[block + 1]], axis=-1)[:, None]
+            if params is None:
+                aux = brownian_bridge_fill(u0, u1, aug_steps, delta, eps=eps_blk)
+            else:
+                aux = modified_bridge_fill(u0, u1, aug_steps, delta, params, eps=eps_blk)
+            x[..., 1:-1] = aux[..., 0]
+            y[..., 1:-1] = aux[..., 1]
+            x0, x1 = x[..., :-1], x[..., 1:]
+        y0, y1 = y[..., :-1], y[..., 1:]
+        fvals = np.stack([f(x0, y0) for f in basis.functions], axis=1)   # (B, L, R, M)
+        gvals = basis.offset(x1, y1, x0, y0, delta)                       # (B, R, M)
+        finite = np.isfinite(fvals).all(axis=(1, 2, 3)) & np.isfinite(gvals).all(axis=(1, 2))
+        if not np.all(finite):
             raise DomainViolation(
-                f"non-finite basis evaluation on interval(s) {bad[:5].tolist()}; "
+                f"non-finite basis evaluation on interval(s) {block[~finite][:5].tolist()}; "
                 "state transform overflowed"
             )
-        gram_parts[lo:hi] = delta * np.einsum("lbrm,kbrm->blk", fvals, fvals) / n_bridges
-        moment_parts[lo:hi] = np.einsum("brm,lbrm->bl", gvals, fvals) / n_bridges
+        fmat = fvals.reshape(len(block), size, -1)
+        gram_parts[lo:hi] = delta * (fmat @ fmat.transpose(0, 2, 1)) / n_bridges
+        moment_parts[lo:hi] = (fmat @ gvals.reshape(len(block), -1, 1))[..., 0] / n_bridges
 
     gram = gram_parts.sum(axis=0)
     # Exact symmetry: keep the upper triangle, mirror it down.
     gram = np.triu(gram) + np.triu(gram, k=1).T
     moment = moment_parts.sum(axis=0)
     return LinearSystem(gram=gram, moment=moment)
+
+
+def _lattice(obs: np.ndarray, block: np.ndarray, n_bridges: int, aug_steps: int) -> np.ndarray:
+    """(B, R, M+1) lattice of one coordinate with each interval's
+    observations at points 0 and M; the auxiliary points are left unset."""
+    out = np.empty((len(block), n_bridges, aug_steps + 1))
+    out[..., 0] = obs[block, None]
+    out[..., -1] = obs[block + 1, None]
+    return out
 
 
 def draw_bridge_eps(
@@ -301,7 +310,7 @@ def solve_variance_drift(
     """Optimal variance drift coefficients given vol and pricing parameters."""
     basis = variance_basis(params, spec)
     system = assemble_system(
-        x_obs, y_obs, delta_obs, aug_steps, basis, n_bridges, rng, params=params, eps=eps
+        None, y_obs, delta_obs, aug_steps, basis, n_bridges, rng, params=params, eps=eps
     )
     coeffs = system.solve()
     return dict(zip(basis.coeff_names, map(float, coeffs)))

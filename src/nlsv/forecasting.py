@@ -33,7 +33,8 @@ import numpy as np
 from scipy.stats import norm
 
 from .data_io import ObservedSeries, split
-from .likelihood import FitResult, LikelihoodConfig, fit
+from .eml import IllConditionedSystem
+from .likelihood import DensityUnderflow, FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
     SWAP_TENOR_YEARS,
@@ -459,8 +460,9 @@ def rolling_evaluation(
     window is available via ``eval_config.window_width``) every
     ``refit_every`` dates, warm-starting from the previous estimates.
     Returns the report, the per-date parameter paths, and the in-sample
-    fits.  Fit failures are recorded in the parameter path entries and the
-    previous estimates are carried forward.
+    fits.  A refit that raises DomainViolation, IllConditionedSystem or
+    DensityUnderflow is recorded in its parameter path entry and the
+    previous estimates are carried forward; any other exception propagates.
     """
     sp = split(series, split_date)
     n_in = sp.split_index
@@ -518,7 +520,8 @@ def rolling_evaluation(
                         k: getattr(res.params, k) for k in res.param_names
                     }
                     entry["loglik"] = res.loglik
-                except Exception as exc:  # fit failure: carry forward, record
+                except (DomainViolation, IllConditionedSystem, DensityUnderflow) as exc:
+                    # The window admits no estimate: carry forward, record.
                     entry["error"] = f"{type(exc).__name__}: {exc}"
                 param_paths.append(entry)
         forecast_origin(

@@ -33,13 +33,12 @@ from scipy.special import logsumexp
 from . import eml
 from .model import (
     SWAP_TENOR_YEARS,
+    _check_variance,
     gamma_transform,
     iv_to_v,
-    price_drift,
     swap_coefficients,
-    y_drift,
 )
-from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector
+from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
 
 #: Top-level stream ids reserved by the estimation pipeline.
@@ -165,23 +164,33 @@ def _gauss2_logpdf(rx, ry, v, sq, rho: float, scale) -> np.ndarray:
     return -math.log(2.0 * math.pi) - 0.5 * np.log(det) - 0.5 * quad
 
 
-def _euler_logpdf_raw(u_next, u_curr, params: ParamVector, spec: ModelSpec, delta: float):
-    """Euler step log-density without domain checks; overflow in the
-    state transform propagates as non-finite values to be sanitized by
-    the caller (an escaped draw has zero importance weight)."""
-    sigma = params.sigma
-    y0 = u_curr[..., 1]
-    v = np.exp(sigma * y0)
-    sq = np.exp(0.5 * sigma * y0)
-    mean_x = (params.a0 + params.a1 * v) * delta
+def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
+    """Quadratic form r' (delta Sigma Sigma')^{-1} r of an Euler increment
+    (dx, dy) departing from a state with s = exp(sigma*y/2), so V = s^2.
+
+    No domain checks: overflow in the state transform propagates as
+    non-finite values, which the simulated likelihood reads as a zero
+    importance weight.
+    """
+    sigma, rho = params.sigma, params.rho
+    v = s * s
+    inv_v = 1.0 / v
     if spec.family is Family.LN:
-        var_drift = params.b0_q + params.b1 * v
+        drift_over_v = params.b0_q * inv_v + params.b1
     else:
-        var_drift = params.b0 + params.b1 * v + params.b2 * v * v + params.b3 / v
-    mean_y = (var_drift / (sigma * v) - 0.5 * sigma) * delta
-    rx = u_next[..., 0] - u_curr[..., 0] - mean_x
-    ry = u_next[..., 1] - u_curr[..., 1] - mean_y
-    return _gauss2_logpdf(rx, ry, v, sq, params.rho, delta)
+        drift_over_v = (params.b0 * inv_v + params.b1 + params.b2 * v
+                        + params.b3 * inv_v * inv_v)
+    rx = dx - (params.a0 + params.a1 * v) * delta
+    ry = dy - (drift_over_v / sigma - 0.5 * sigma) * delta
+    return (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) * inv_v / (
+        delta * (1.0 - rho**2)
+    )
+
+
+def _euler_log_norm(params: ParamVector, delta: float) -> float:
+    """Constant term of the Euler step log-density; the departing state
+    adds -sigma*y/2 to it."""
+    return -math.log(2.0 * math.pi * delta) - 0.5 * math.log(1.0 - params.rho**2)
 
 
 def euler_density(u_next, u_curr, params: ParamVector, spec: ModelSpec, delta: float) -> np.ndarray:
@@ -193,14 +202,16 @@ def euler_density(u_next, u_curr, params: ParamVector, spec: ModelSpec, delta: f
     """
     if not delta > 0.0:
         raise DomainViolation("delta must be > 0")
+    if spec.family is Family.RW:
+        raise DomainViolation("RW has no drift model")
     u_next = np.asarray(u_next, dtype=float)
     u_curr = np.asarray(u_curr, dtype=float)
-    x0, y0 = u_curr[..., 0], u_curr[..., 1]
-    v = np.exp(params.sigma * y0)
-    sq = np.exp(0.5 * params.sigma * y0)
-    rx = u_next[..., 0] - x0 - price_drift(v, params, Measure.P) * delta
-    ry = u_next[..., 1] - y0 - y_drift(y0, params, spec, Measure.P) * delta
-    return _gauss2_logpdf(rx, ry, v, sq, params.rho, delta)
+    y0 = u_curr[..., 1]
+    s = np.exp(0.5 * params.sigma * y0)
+    _check_variance(s * s)
+    dx, dy = u_next[..., 0] - u_curr[..., 0], u_next[..., 1] - y0
+    quad = _euler_quad(dx, dy, s, params, spec, delta)
+    return _euler_log_norm(params, delta) - 0.5 * params.sigma * y0 - 0.5 * quad
 
 
 def proposal_density_q(
@@ -236,60 +247,74 @@ def _sml_batch(
     spec: ModelSpec,
     config: LikelihoodConfig,
     eps: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized importance-sampling estimate; returns (logdensity, rel_se).
+) -> np.ndarray:
+    """Log importance weights of the simulated transition density, (..., S).
 
     ``u_from`` and ``u_to`` have shape (..., 2); ``eps`` must be
-    N(0, delta) draws of shape (..., S, M-1, 2) when M > 1.
+    N(0, delta) draws e_m of shape (..., S, M-1, 2) when M > 1.  With
+    M = 1 the single weight is the Euler density.
+
+    Each draw follows the modified bridge from ``u_from`` to ``u_to``, so
+    the residual of lattice step m about the proposal mean is exactly
+    sqrt(fac_m) * Sigma_m e_m, fac_m = (M-m-1)/(M-m).  The proposal's
+    quadratic form is therefore e_m'e_m / delta, and its log-determinant
+    cancels the Euler one up to log(fac_m), whose sum over m is -log(M).
+    The log weight of a draw is then
+
+        -log M + sum_m e_m'e_m / (2 delta) - sum_{m<M} Q_m / 2
+        - sigma * Y_{M-1} / 2 + log of the Euler normalizing constant,
+
+    with Q_m the Euler quadratic form of step m and the last step, from
+    Y_{M-1} to the endpoint, carrying the only log-determinant left.  A
+    step costs one exp, s = exp(sigma*Y_m/2), and no log.
     """
     m_total = config.aug_steps
     delta = config.delta_obs / m_total
     if m_total == 1:
-        ld = euler_density(u_to, u_from, params, spec, delta)
-        return ld, np.zeros_like(ld)
+        return euler_density(u_to, u_from, params, spec, delta)[..., None]
 
-    s_draws = config.mc_draws
-    rho, sigma = params.rho, params.sigma
-    root = np.sqrt(1.0 - rho**2)
-    base = np.broadcast_shapes(u_from.shape, u_to.shape)[:-1]
-    current = np.broadcast_to(u_from[..., None, :], base + (s_draws, 2)).astype(float).copy()
-    end = np.broadcast_to(u_to[..., None, :], base + (s_draws, 2))
-    logw = np.zeros(base + (s_draws,))
+    sigma, rho = params.sigma, params.rho
+    root = math.sqrt(1.0 - rho**2)
+    x, y = u_from[..., 0, None], u_from[..., 1, None]
+    x_end, y_end = u_to[..., 0, None], u_to[..., 1, None]
+    quad = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(m_total - 1):
             remain = m_total - m
-            fac = (remain - 1) / remain
-            e = eps[..., m, :]
-            s = np.exp(0.5 * sigma * current[..., 1])
-            noise = np.stack(
-                [s * (root * e[..., 0] + rho * e[..., 1]), e[..., 1]], axis=-1
-            )
-            nxt = current + (end - current) / remain + np.sqrt(fac) * noise
-            logw += _euler_logpdf_raw(nxt, current, params, spec, delta)
-            y0 = current[..., 1]
-            v = np.exp(sigma * y0)
-            sq = np.exp(0.5 * sigma * y0)
-            mean = current + (end - current) / remain
-            logw -= _gauss2_logpdf(
-                nxt[..., 0] - mean[..., 0], nxt[..., 1] - mean[..., 1],
-                v, sq, rho, fac * delta,
-            )
-            current = nxt
-        logw += _euler_logpdf_raw(end, current, params, spec, delta)
-
+            root_fac = math.sqrt((remain - 1) / remain)
+            e_x, e_y = eps[..., m, 0], eps[..., m, 1]
+            s = np.exp(0.5 * sigma * y)
+            dx = (x_end - x) / remain + root_fac * s * (root * e_x + rho * e_y)
+            dy = (y_end - y) / remain + root_fac * e_y
+            quad = quad + _euler_quad(dx, dy, s, params, spec, delta)
+            x, y = x + dx, y + dy
+        s = np.exp(0.5 * sigma * y)
+        quad = quad + _euler_quad(x_end - x, y_end - y, s, params, spec, delta)
+        ee = np.einsum("...mk,...mk->...", eps, eps)
+        logw = (
+            0.5 * (ee / delta - quad) - 0.5 * sigma * y
+            + (_euler_log_norm(params, delta) - math.log(m_total))
+        )
     # A draw that escaped the representable state region carries zero weight.
-    logw = np.where(np.isfinite(logw), logw, -np.inf)
+    return np.where(np.isfinite(logw), logw, -np.inf)
+
+
+def _log_mean_weight(logw: np.ndarray) -> np.ndarray:
+    """log of the average importance weight over the last axis."""
     with np.errstate(invalid="ignore"):
-        logdensity = logsumexp(logw, axis=-1) - math.log(s_draws)
-    # Relative standard error of the density-scale average, computed on
-    # max-shifted weights for stability.
+        return logsumexp(logw, axis=-1) - math.log(logw.shape[-1])
+
+
+def _rel_se(logw: np.ndarray) -> np.ndarray:
+    """Relative standard error of the density-scale average, computed on
+    max-shifted weights for stability."""
+    s_draws = logw.shape[-1]
     shift = np.max(logw, axis=-1, keepdims=True)
     shifted = np.exp(logw - np.where(np.isfinite(shift), shift, 0.0))
     mean_w = shifted.mean(axis=-1)
-    std_w = shifted.std(axis=-1, ddof=1) if s_draws > 1 else np.zeros(base)
+    std_w = shifted.std(axis=-1, ddof=1) if s_draws > 1 else np.zeros(mean_w.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel_se = np.where(mean_w > 0.0, std_w / (mean_w * math.sqrt(s_draws)), np.inf)
-    return logdensity, rel_se
+        return np.where(mean_w > 0.0, std_w / (mean_w * math.sqrt(s_draws)), np.inf)
 
 
 def sml_transition_logdensity(
@@ -318,12 +343,13 @@ def sml_transition_logdensity(
         eps = rng.generator().standard_normal(shape) * math.sqrt(
             config.delta_obs / config.aug_steps
         )
-    logdensity, rel_se = _sml_batch(u_from, u_to, params, spec, config, eps)
+    logw = _sml_batch(u_from, u_to, params, spec, config, eps)
+    logdensity = _log_mean_weight(logw)
     n_failed = int(np.count_nonzero(~np.isfinite(logdensity)))
     if n_failed:
         raise DensityUnderflow(n_failed)
     if return_diagnostics:
-        return SmlDiagnostics(logdensity=logdensity, rel_se=rel_se)
+        return SmlDiagnostics(logdensity=logdensity, rel_se=_rel_se(logw))
     return logdensity if logdensity.ndim else float(logdensity)
 
 
@@ -400,8 +426,8 @@ def total_loglik(
             )
         else:
             eps_blk = None
-        logp[lo:hi], _ = _sml_batch(
-            u[lo:hi], u[lo + 1 : hi + 1], params, spec, config, eps_blk
+        logp[lo:hi] = _log_mean_weight(
+            _sml_batch(u[lo:hi], u[lo + 1 : hi + 1], params, spec, config, eps_blk)
         )
 
     n_failed = int(np.count_nonzero(~np.isfinite(logp)))

@@ -9,11 +9,21 @@ then holds by construction under any step size, with no truncation fixes.
 Bridge samplers draw the auxiliary points between an observation pair
 (U_0, U_M) from the recursion
 
-    U_{m+1} = U_m + (U_M - U_m)/(M - m) + sqrt((M-m-1)/(M-m)) * e_m,
+    U_{m+1} = U_m + (U_M - U_m)/(M - m) + sqrt((M-m-1)/(M-m)) * n_m,
 
-with e_m ~ N(0, delta * I) for the plain Brownian bridge and
-e_m ~ N(0, delta * Sigma Sigma') for the modified (state-scaled) bridge
-used as the importance-sampling proposal of the simulated likelihood.
+with n_m = e_m ~ N(0, delta * I) for the plain Brownian bridge and
+n_m = Sigma(U_m) e_m, Sigma the local diffusion matrix, for the modified
+(state-scaled) bridge used as the importance-sampling proposal of the
+simulated likelihood.  Subtracting the linear interpolation of the
+endpoints turns the recursion into a cumulative sum, so each coordinate
+has the closed form
+
+    U_k = U_0 + (k/M)(U_M - U_0)
+          + (M - k) * sum_{m<k} n_m / sqrt((M-m)(M-m-1)),   k = 1 .. M-1.
+
+Y has unit diffusion, so its fill is the same for both bridges; only the
+X noise of the modified bridge is scaled, by exp(sigma*Y_m/2) at the
+departing point.
 """
 
 from __future__ import annotations
@@ -39,36 +49,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.x.shape[0]
-
-
-@dataclass
-class LatticePath:
-    """Observations at spacing delta_obs plus M-1 auxiliary points per interval.
-
-    ``observations`` has shape (N+1, 2) holding (x, y) rows; ``auxiliary``
-    has shape (N, M-1, 2).  The lattice convention pins interval i's point
-    0 to observation i and point M to observation i+1, for a total of
-    M*N + 1 augmented points.
-    """
-
-    observations: np.ndarray
-    auxiliary: np.ndarray
-    delta: float  # spacing of the augmented lattice, delta_obs / M
-
-    @property
-    def aug_steps(self) -> int:
-        return self.auxiliary.shape[1] + 1
-
-    @property
-    def total_points(self) -> int:
-        n = self.observations.shape[0] - 1
-        return self.aug_steps * n + 1
-
-    def interval_points(self, i: int) -> np.ndarray:
-        """All M+1 lattice points of interval i, endpoints included."""
-        return np.concatenate(
-            [self.observations[i : i + 1], self.auxiliary[i], self.observations[i + 1 : i + 2]]
-        )
 
 
 def euler_step(
@@ -146,25 +126,35 @@ def simulate_paths(
     return PathEnsemble(times=times, x=xs, v=vs)
 
 
-def _bridge_recursion(
-    u0: np.ndarray,
-    u1: np.ndarray,
-    aug_steps: int,
-    eps: np.ndarray,
-    scale: Callable[[np.ndarray], np.ndarray] | None,
-) -> np.ndarray:
-    """Shared bridge recursion; ``scale`` maps (point, raw noise) pairs."""
-    m_total = aug_steps
-    current = np.broadcast_to(u0, eps.shape[:-2] + (2,)).astype(float).copy()
-    out = np.empty(eps.shape[:-2] + (m_total - 1, 2))
-    for m in range(m_total - 1):
-        remain = m_total - m
-        noise = eps[..., m, :]
-        if scale is not None:
-            noise = scale(current, noise)
-        current = current + (u1 - current) / remain + np.sqrt((remain - 1) / remain) * noise
-        out[..., m, :] = current
-    return out
+def bridge_path(u0, u1, aug_steps: int, noise: np.ndarray) -> np.ndarray:
+    """The M-1 auxiliary points of one bridge coordinate, in closed form.
+
+    ``noise`` holds n_0 .. n_{M-2} along its last axis; ``u0`` and ``u1``
+    broadcast against ``noise[..., 0]``.  The result has the shape of
+    ``noise`` and depends on the endpoints only through their linear
+    interpolation.
+    """
+    m = np.arange(aug_steps - 1)
+    remain = aug_steps - m
+    path = noise / np.sqrt(remain * (remain - 1.0))
+    np.cumsum(path, axis=-1, out=path)
+    path *= remain - 1
+    u0 = np.asarray(u0, dtype=float)[..., None]
+    u1 = np.asarray(u1, dtype=float)[..., None]
+    path += u0 + (u1 - u0) * ((m + 1) / aug_steps)
+    return path
+
+
+def _bridge_eps(u0, u1, aug_steps, delta, rng, eps) -> np.ndarray:
+    """The fill's N(0, delta) innovations: ``eps`` itself, or drawn from ``rng``."""
+    if aug_steps < 1:
+        raise DomainViolation("aug_steps must be >= 1")
+    if eps is not None:
+        return eps
+    if rng is None:
+        raise DomainViolation("supply rng or eps")
+    shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug_steps - 1, 2)
+    return rng.generator().standard_normal(shape) * np.sqrt(delta)
 
 
 def brownian_bridge_fill(
@@ -183,18 +173,15 @@ def brownian_bridge_fill(
     Either ``rng`` or a pre-drawn N(0, delta) array ``eps`` of shape
     (..., M-1, 2) must be supplied.
     """
-    if aug_steps < 1:
-        raise DomainViolation("aug_steps must be >= 1")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if eps is None:
-        if rng is None:
-            raise DomainViolation("supply rng or eps")
-        shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug_steps - 1, 2)
-        eps = rng.generator().standard_normal(shape) * np.sqrt(delta)
+    eps = _bridge_eps(u0, u1, aug_steps, delta, rng, eps)
     if aug_steps == 1:
         return np.empty(eps.shape[:-2] + (0, 2))
-    return _bridge_recursion(u0, u1, aug_steps, eps, scale=None)
+    return np.stack(
+        [bridge_path(u0[..., i], u1[..., i], aug_steps, eps[..., i]) for i in range(2)],
+        axis=-1,
+    )
 
 
 def modified_bridge_fill(
@@ -210,51 +197,25 @@ def modified_bridge_fill(
 
     In (x, y) coordinates the diffusion matrix rows are
     (sqrt(1-rho^2)*exp(sigma*y/2), rho*exp(sigma*y/2)) and (0, 1), so the
-    y component sees unit noise while the x component is scaled by the
-    local volatility.  This is the importance-sampling proposal of the
+    y fill is the plain Brownian-bridge fill while the x fill takes the
+    noise exp(sigma*Y_m/2) * (sqrt(1-rho^2)*e_x + rho*e_y) at each
+    departing point Y_m.  This is the importance-sampling proposal of the
     simulated-likelihood estimator.
     """
-    if aug_steps < 1:
-        raise DomainViolation("aug_steps must be >= 1")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if eps is None:
-        if rng is None:
-            raise DomainViolation("supply rng or eps")
-        shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug_steps - 1, 2)
-        eps = rng.generator().standard_normal(shape) * np.sqrt(delta)
+    eps = _bridge_eps(u0, u1, aug_steps, delta, rng, eps)
     if aug_steps == 1:
         return np.empty(eps.shape[:-2] + (0, 2))
-
-    rho = params.rho
-    root = np.sqrt(1.0 - rho**2)
-
-    def scale(point: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        s = np.exp(0.5 * params.sigma * point[..., 1])
-        nx = s * (root * noise[..., 0] + rho * noise[..., 1])
-        return np.stack([nx, noise[..., 1]], axis=-1)
-
-    return _bridge_recursion(u0, u1, aug_steps, eps, scale=scale)
-
-
-def fill_lattice(
-    x_obs: np.ndarray,
-    y_obs: np.ndarray,
-    aug_steps: int,
-    delta_obs: float,
-    rng: RngStream,
-) -> LatticePath:
-    """Augment an observed (x, y) series with one Brownian-bridge fill per
-    interval, each drawn from the substream keyed by its interval index."""
-    n = len(x_obs) - 1
-    obs = np.stack([np.asarray(x_obs, dtype=float), np.asarray(y_obs, dtype=float)], axis=-1)
-    delta = delta_obs / aug_steps
-    aux = np.empty((n, aug_steps - 1, 2))
-    for i in range(n):
-        aux[i] = brownian_bridge_fill(
-            obs[i], obs[i + 1], aug_steps, delta, rng=rng.substream(i)
-        )
-    return LatticePath(observations=obs, auxiliary=aux, delta=delta)
+    y = bridge_path(u0[..., 1], u1[..., 1], aug_steps, eps[..., 1])
+    y_from = np.concatenate(
+        [np.broadcast_to(u0[..., 1, None], y.shape[:-1] + (1,)), y[..., :-1]], axis=-1
+    )
+    noise = np.exp(0.5 * params.sigma * y_from) * (
+        np.sqrt(1.0 - params.rho**2) * eps[..., 0] + params.rho * eps[..., 1]
+    )
+    x = bridge_path(u0[..., 0], u1[..., 0], aug_steps, noise)
+    return np.stack([x, y], axis=-1)
 
 
 def conditional_expectation(

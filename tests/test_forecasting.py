@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nlsv import forecasting
 from nlsv.data_io import ObservedSeries
+from nlsv.eml import IllConditionedSystem
 from nlsv.forecasting import (
     CW_PAIRS,
     EvalConfig,
@@ -18,7 +20,7 @@ from nlsv.forecasting import (
     risk_premium_series,
     rolling_evaluation,
 )
-from nlsv.likelihood import LikelihoodConfig
+from nlsv.likelihood import DensityUnderflow, LikelihoodConfig
 from nlsv.model import iv_to_v, swap_coefficients, v_to_iv
 from nlsv.params import DomainViolation, Family, ModelSpec, ParamVector
 from nlsv.rng import RngStream
@@ -278,6 +280,42 @@ def test_rolling_bookkeeping_and_determinism():
     # every record has matched forecast/realized/current lengths
     for c in r1.cells.values():
         assert len(c["origin"]) == len(c["forecast"]) == len(c["realized"]) == len(c["current"])
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [DomainViolation("window infeasible"), IllConditionedSystem(1e13), DensityUnderflow(3)],
+)
+def test_rolling_records_typed_refit_failures(monkeypatch, exc):
+    _, paths, _ = _rolling_with_failing_refits(monkeypatch, exc)
+    assert paths
+    assert all(p["error"].startswith(type(exc).__name__) for p in paths)
+    assert all("params" not in p for p in paths)
+
+
+def test_rolling_refit_bug_propagates(monkeypatch):
+    with pytest.raises(ValueError, match="a bug"):
+        _rolling_with_failing_refits(monkeypatch, ValueError("a bug"))
+
+
+def _rolling_with_failing_refits(monkeypatch, exc):
+    """Rolling evaluation whose in-sample fit succeeds and whose every
+    out-of-sample refit raises ``exc``."""
+    real_fit = forecasting.fit
+    calls = []
+
+    def fit_then_fail(*args, **kw):
+        calls.append(args)
+        if len(calls) > 1:
+            raise exc
+        return real_fit(*args, **kw)
+
+    monkeypatch.setattr(forecasting, "fit", fit_then_fail)
+    series = make_series(LN_PARAMS, LN, 120, 19, v0=0.033)
+    init = {"LN": {"sigma": 2.2, "rho": -0.68, "b0_q": 0.058, "b1_q": 11.0}}
+    return rolling_evaluation(
+        series, series.dates[89], [LN], _quick_lik_config(), _quick_eval_config(), init=init
+    )
 
 
 def test_report_round_trip_and_summary():

@@ -223,6 +223,28 @@ def test_sml_spread_shrinks_with_sample_size():
     assert 2.0 < ratio < 5.0
 
 
+@pytest.mark.parametrize("aug", [2, 24])
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)])
+def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
+    # With one draw the estimate is the single importance weight: the
+    # Euler densities along the modified-bridge path over the proposal
+    # densities of its auxiliary points.
+    cfg = _cfg(aug_steps=aug, mc_draws=1)
+    delta = DELTA / aug
+    u0 = np.array([0.0, gamma_transform(0.033, params.sigma)])
+    u1 = np.array([0.01, gamma_transform(0.040, params.sigma)])
+    eps = RngStream(41).generator().standard_normal((1, aug - 1, 2)) * math.sqrt(delta)
+    ld = sml_transition_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=eps)
+    aux = modified_bridge_fill(u0, u1, aug, delta, params, eps=eps[0])
+    points = np.concatenate([u0[None], aux, u1[None]])
+    explicit = sum(
+        float(euler_density(points[m + 1], points[m], params, spec, delta))
+        - float(proposal_density_q(points[m + 1], points[m], u1, params, m, aug, delta))
+        for m in range(aug - 1)
+    ) + float(euler_density(u1, points[-2], params, spec, delta))
+    assert ld == pytest.approx(explicit, rel=0.0, abs=1e-10)
+
+
 def test_sml_underflow_reported():
     cfg = _cfg(aug_steps=2, mc_draws=4)
     u0 = np.array([0.0, -1.0])

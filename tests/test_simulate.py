@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsv.model import gamma_transform
 from nlsv.params import DomainViolation, Measure, ParamVector, State
@@ -10,7 +12,6 @@ from nlsv.simulate import (
     brownian_bridge_fill,
     conditional_expectation,
     euler_step,
-    fill_lattice,
     modified_bridge_fill,
     simulate_paths,
 )
@@ -186,14 +187,44 @@ def test_modified_bridge_y_component_matches_plain():
     assert np.array_equal(plain[..., 1], scaled[..., 1])
 
 
-def test_fill_lattice_conventions():
-    x = np.array([0.0, 0.1, 0.15, 0.3])
-    y = np.array([-1.0, -1.2, -0.9, -1.1])
-    lattice = fill_lattice(x, y, 6, 1 / 262, RngStream(12))
-    assert lattice.total_points == 6 * 3 + 1
-    pts = lattice.interval_points(1)
-    assert np.array_equal(pts[0], [0.1, -1.2])
-    assert np.array_equal(pts[-1], [0.15, -0.9])
+def _loop_fill(u0, u1, aug, eps, sigma, rho):
+    """Reference: the modified-bridge recursion stepped point by point."""
+    current = np.array(u0, dtype=float)
+    out = np.empty((aug - 1, 2))
+    for m in range(aug - 1):
+        remain = aug - m
+        s = np.exp(0.5 * sigma * current[1])
+        noise = np.array([s * (np.sqrt(1 - rho**2) * eps[m, 0] + rho * eps[m, 1]), eps[m, 1]])
+        current = current + (u1 - current) / remain + np.sqrt((remain - 1) / remain) * noise
+        out[m] = current
+    return out
+
+
+_coord = st.floats(-3.0, 3.0)
+
+
+@given(
+    u0=st.tuples(_coord, _coord),
+    u1=st.tuples(_coord, _coord),
+    aug=st.integers(1, 30),
+    sigma=st.floats(0.05, 3.0),
+    rho=st.floats(-0.99, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_fill_matches_recursion(u0, u1, aug, sigma, rho, seed):
+    p = dataclasses.replace(LN_PARAMS, sigma=sigma, rho=rho)
+    u0, u1 = np.array(u0), np.array(u1)
+    delta = 1 / (262 * aug)
+    eps = np.random.default_rng(seed).standard_normal((aug - 1, 2)) * np.sqrt(delta)
+    scaled = modified_bridge_fill(u0, u1, aug, delta, p, eps=eps)
+    assert scaled.shape == (aug - 1, 2)
+    np.testing.assert_allclose(
+        scaled, _loop_fill(u0, u1, aug, eps, sigma, rho), rtol=1e-12, atol=1e-12
+    )
+    # y has unit diffusion: its fill ignores sigma and rho entirely.
+    plain = brownian_bridge_fill(u0, u1, aug, delta, eps=eps)
+    assert np.array_equal(plain[..., 1], scaled[..., 1])
 
 
 # ------------------------------------------- conditional expectations
