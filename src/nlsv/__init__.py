@@ -45,7 +45,6 @@ from .rng import RngStream
 from .simulate import (
     PathEnsemble,
     brownian_bridge_fill,
-    conditional_expectation,
     euler_step,
     modified_bridge_fill,
     simulate_paths,

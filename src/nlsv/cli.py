@@ -23,7 +23,6 @@ from .forecasting import (
     EvalConfig,
     ForecastReport,
     HorizonGrid,
-    forecast_origin,
     risk_premium_series,
     rolling_evaluation,
 )
@@ -323,26 +322,15 @@ def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list
         raise DataError("forecast requires at least one --fit artifact")
     sp = data_io.split(series, config.split_date)
     eval_config = config.eval_config()
-    report = ForecastReport()
-    models: dict[str, tuple[ParamVector | None, ModelSpec]] = {
-        "RW": (None, ModelSpec(Family.RW))
-    }
+    models: forecasting.Models = {"RW": (None, ModelSpec(Family.RW))}
     for path in fit_paths:
         res = FitResult.from_dict(data_io.load_results(path))
         models[res.spec.family.value] = (res.params, res.spec)
-    rng = RngStream(config.seed, forecasting.STREAM_FORECAST)
-    min_history = max(eval_config.horizons.rv, default=0)
-    n_in, n_total = sp.split_index, len(series)
-    for origin in range(min_history, n_in):
-        forecast_origin(
-            report, series, "in", origin, models, eval_config, rng, n_in - 1,
-            config.likelihood_config().swap_tenor,
-        )
-    for origin in range(n_in, n_total):
-        forecast_origin(
-            report, series, "out", origin, models, eval_config, rng, n_total - 1,
-            config.likelihood_config().swap_tenor,
-        )
+    report = forecasting.evaluate_origins(
+        series, sp.split_index, models, lambda origin: models, eval_config,
+        RngStream(config.seed, forecasting.STREAM_FORECAST),
+        config.likelihood_config().swap_tenor,
+    )
     save_results(report, out_dir / "report.json")
     outputs = ["report.json"] + _metrics_csvs(report, out_dir)
     return outputs

@@ -7,6 +7,7 @@ Targets and conventions
 realized variance over n days at index i:   (262/n) * sum (X_j - X_{j-1})^2
 model realized variance (annualized):       (1/n) * sum V_j
 implied variance forecast:                  A + B * E[V], by linearity
+log price forecast:                         x + a0*t + a1 * int_0^t E[V]
 random walk benchmark:                      every future value equals the
                                             current value; its variance
                                             level is the observed implied
@@ -14,6 +15,10 @@ random walk benchmark:                      every future value equals the
                                             transform of its own), so its
                                             forecast of future realized or
                                             implied variance is IV_t.
+
+LN forecasts are exact: its affine variance drift gives E[V] and its
+integral in closed form.  NL forecasts are Monte Carlo means over Euler
+paths of the log variance alone, which is all the log price needs.
 
 A directional forecast is correct when sign(forecast - current) equals
 sign(realized - current), where "current" is X_t, IV_t, or the trailing
@@ -27,10 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .data_io import ObservedSeries, split
 from .eml import IllConditionedSystem
@@ -42,14 +47,17 @@ from .model import (
     market_price_of_risk,
     swap_coefficients,
 )
-from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector, State
+from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import simulate_paths
+from .simulate import y_step
 
 #: Stream id offset for forecast innovation draws.
 STREAM_FORECAST = 4
 
 TARGETS = ("x", "iv", "rv")
+
+#: Forecasting models by report name: parameters (None for RW) and family.
+Models = dict[str, tuple[ParamVector | None, ModelSpec]]
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,8 @@ class HorizonGrid:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Monte Carlo and protocol settings for forecast evaluation."""
+    """Monte Carlo and protocol settings for forecast evaluation; the
+    ``n_paths`` Euler paths on steps of ``dt`` are drawn for NL only."""
 
     horizons: HorizonGrid = HorizonGrid()
     n_paths: int = 20000
@@ -110,7 +119,7 @@ def model_realized_variance(v_path, i: int, n_days: int) -> float:
 def forecast_targets(
     x_now: float,
     iv_now: float,
-    models: dict[str, tuple[ParamVector | None, ModelSpec]],
+    models: Models,
     horizons: HorizonGrid,
     n_paths: int,
     dt: float,
@@ -119,49 +128,92 @@ def forecast_targets(
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Per-model conditional expectations of (X, IV, RV) at each horizon.
 
-    Every diffusive model consumes the same innovation stream, so LN and
-    NL forecasts at one origin differ only through their dynamics, not
-    through simulation noise.  The RW entry needs no parameters and
-    returns current values at every horizon.
+    The targets need only the daily E[V_t] and int_0^t E[V]: IV is
+    A + B*E[V], RV averages E[V] over days 1..h and E[X_t] is
+    x + a0*t + a1*int_0^t E[V].  LN has both in closed form; NL estimates
+    them from ``n_paths`` Euler paths of Y on steps of ``dt``, every NL
+    entry on the same draws.  RW returns current values at every horizon.
     """
     tenor = SWAP_TENOR_YEARS if swap_tenor is None else swap_tenor
     steps_per_day = round((1.0 / DAYS_PER_YEAR) / dt)
     if steps_per_day < 1 or abs(steps_per_day * dt * DAYS_PER_YEAR - 1.0) > 1e-9:
         raise DomainViolation("dt must divide one trading day")
     max_h = horizons.max_horizon
+    days = np.arange(max_h + 1)
+    years = days / DAYS_PER_YEAR
 
     out: dict[str, dict[str, dict[int, float]]] = {}
     for name, (params, spec) in models.items():
-        result = {t: {} for t in TARGETS}
         if spec.family is Family.RW:
-            for target, base in (("x", x_now), ("iv", iv_now), ("rv", iv_now)):
-                for h in (0,) + horizons.for_target(target):
-                    result[target][h] = float(base)
-            out[name] = result
-            continue
-        v0 = float(iv_to_v(iv_now, params, tenor))
-        ens = simulate_paths(
-            State(x_now, v0),
-            params,
-            spec,
-            Measure.P,
-            dt,
-            max_h * steps_per_day,
-            n_paths,
-            rng,
-            record_every=steps_per_day,
-        )
-        mean_x = ens.x.mean(axis=0)
-        mean_v = ens.v.mean(axis=0)
-        a_c, b_c = swap_coefficients(params, tenor)
-        cum_v = np.cumsum(mean_v[1:])  # mean V over days 1..h
-        for h in (0,) + horizons.returns_iv:
-            result["x"][h] = float(mean_x[h] if h else x_now)
-            result["iv"][h] = float(a_c + b_c * mean_v[h]) if h else iv_now
-        for h in (0,) + horizons.rv:
-            result["rv"][h] = float(cum_v[h - 1] / h) if h else iv_now
-        out[name] = result
+            daily = {"x": np.full(max_h + 1, x_now), "iv": np.full(max_h + 1, iv_now)}
+            daily["rv"] = daily["iv"]
+        else:
+            v0 = float(iv_to_v(iv_now, params, tenor))
+            if spec.family is Family.LN:
+                mean_v, int_v = _ln_variance_moments(v0, params, years)
+            else:
+                mean_v, int_v = _euler_variance_moments(
+                    v0, params, spec, dt, steps_per_day, max_h, n_paths, rng
+                )
+            a_c, b_c = swap_coefficients(params, tenor)
+            daily = {
+                "x": x_now + params.a0 * years + params.a1 * int_v,
+                "iv": np.concatenate(([iv_now], a_c + b_c * mean_v[1:])),
+                "rv": np.concatenate(([iv_now], np.cumsum(mean_v[1:]) / days[1:])),
+            }
+        out[name] = {
+            t: {h: float(daily[t][h]) for h in (0,) + horizons.for_target(t)} for t in TARGETS
+        }
     return out
+
+
+def _ln_variance_moments(v0: float, params: ParamVector, t: np.ndarray):
+    """E[V_t] and int_0^t E[V_s] ds under the LN drift b0_q + b1*V:
+
+        E[V_t] = v0*e^z + b0_q*t*phi(z),  int_0^t E[V] = v0*t*phi(z) + b0_q*t^2*psi(z)
+
+    with z = b1*t, phi(z) = (e^z - 1)/z and psi(z) = (e^z - 1 - z)/z^2, both
+    from Taylor series for small |z| so that they are continuous across
+    b1 = 0.  Raises :class:`DomainViolation` when a moment overflows.
+    """
+    z = params.b1 * t
+    small = np.abs(z) < 1e-3  # direct forms lose eps/|z|; series error < z^4/100
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = np.where(small, 1.0, z)
+        em1 = np.expm1(zz)
+        phi = np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z**3 / 24.0, em1 / zz)
+        psi = np.where(small, 0.5 + z / 6.0 + z * z / 24.0 + z**3 / 120.0, (em1 - zz) / (zz * zz))
+        mean_v = v0 * np.exp(z) + params.b0_q * t * phi
+        int_v = v0 * t * phi + params.b0_q * t * t * psi
+    if not (np.all(np.isfinite(mean_v)) and np.all(np.isfinite(int_v))):
+        raise DomainViolation("LN variance moments overflow; the drift is explosive")
+    return mean_v, int_v
+
+
+def _euler_variance_moments(
+    v0: float, params: ParamVector, spec: ModelSpec, dt: float, steps_per_day: int,
+    max_h: int, n_paths: int, rng: RngStream,
+):
+    """Daily Monte Carlo means of V and their Euler integrals dt * sum_{k<n} E[V_k].
+
+    Only Y is stepped, on the variance column of the joint (price,
+    variance) shocks, so the V paths are bitwise those of
+    :func:`nlsv.simulate.simulate_paths` on the same stream.  The integral
+    is the Euler X drift term: x + a0*t + a1*integral is the Euler X mean
+    without its noise term."""
+    if n_paths < 1:
+        raise DomainViolation("n_paths must be >= 1")
+    gen = rng.generator()
+    sqrt_dt = math.sqrt(dt)
+    y = np.full(n_paths, math.log(v0) / params.sigma)
+    means = np.empty(max_h * steps_per_day + 1)
+    means[0] = np.exp(params.sigma * y).mean()
+    for step in range(1, len(means)):
+        eps_y = gen.standard_normal((n_paths, 2))[:, 1] * sqrt_dt
+        y = y_step(y, params, spec, Measure.P, dt, eps_y)
+        means[step] = np.exp(params.sigma * y).mean()
+    integrals = dt * np.concatenate(([0.0], np.cumsum(means[:-1])))
+    return means[::steps_per_day], integrals[::steps_per_day]
 
 
 @dataclass
@@ -252,7 +304,7 @@ def clark_west(
     if lrv <= 0.0:
         lrv = gamma0
     stat = fbar / math.sqrt(lrv / n)
-    return CWResult(statistic=float(stat), p_value=float(norm.sf(stat)), degenerate=False)
+    return CWResult(statistic=float(stat), p_value=float(ndtr(-stat)), degenerate=False)
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +452,7 @@ def forecast_origin(
     series: ObservedSeries,
     sample: str,
     origin: int,
-    models: dict[str, tuple[ParamVector | None, ModelSpec]],
+    models: Models,
     eval_config: EvalConfig,
     rng: RngStream,
     last_index: int,
@@ -444,6 +496,24 @@ def forecast_origin(
                 )
 
 
+def evaluate_origins(
+    series: ObservedSeries, n_in: int, in_models: Models, out_models: Callable[[int], Models],
+    eval_config: EvalConfig, rng: RngStream, swap_tenor: float,
+) -> ForecastReport:
+    """Forecasts from every origin into one report: in-sample origins with
+    ``in_models``, realized within the in-sample window, then each
+    out-of-sample origin in date order with ``out_models(origin)``, in
+    which a caller may re-estimate."""
+    report = ForecastReport()
+    for origin in range(max(eval_config.horizons.rv, default=0), n_in):
+        forecast_origin(report, series, "in", origin, in_models, eval_config, rng, n_in - 1,
+                        swap_tenor)
+    for origin in range(n_in, len(series)):
+        forecast_origin(report, series, "out", origin, out_models(origin), eval_config, rng,
+                        len(series) - 1, swap_tenor)
+    return report
+
+
 def rolling_evaluation(
     series: ObservedSeries,
     split_date,
@@ -466,45 +536,24 @@ def rolling_evaluation(
     """
     sp = split(series, split_date)
     n_in = sp.split_index
-    n_total = len(series)
-    last_index = n_total - 1
-    report = ForecastReport()
     rng = RngStream(lik_config.seed, STREAM_FORECAST)
 
     diffusive = {spec.family.value: spec for spec in specs if spec.family is not Family.RW}
-    fits: dict[str, FitResult] = {}
-    for name, spec in diffusive.items():
-        fits[name] = fit(
-            sp.in_sample, spec, lik_config, init=(init or {}).get(name)
-        )
+    fits = {
+        name: fit(sp.in_sample, spec, lik_config, init=(init or {}).get(name))
+        for name, spec in diffusive.items()
+    }
 
-    def model_map(param_source: dict[str, ParamVector]) -> dict:
-        models: dict[str, tuple[ParamVector | None, ModelSpec]] = {
-            "RW": (None, ModelSpec(Family.RW))
+    def model_map(params: dict[str, ParamVector]) -> Models:
+        return {"RW": (None, ModelSpec(Family.RW))} | {
+            name: (params[name], spec) for name, spec in diffusive.items()
         }
-        for name, spec in diffusive.items():
-            models[name] = (param_source[name], spec)
-        return models
 
-    in_params = {name: fits[name].params for name in diffusive}
-    min_history = max(eval_config.horizons.rv, default=0)
-    for origin in range(min_history, n_in):
-        forecast_origin(
-            report,
-            series,
-            "in",
-            origin,
-            model_map(in_params),
-            eval_config,
-            rng,
-            n_in - 1,
-            lik_config.swap_tenor,
-        )
-
+    current_params = {name: fits[name].params for name in diffusive}
     param_paths: list[dict] = []
-    current_params = dict(in_params)
-    for step, origin in enumerate(range(n_in, n_total)):
-        if step % eval_config.refit_every == 0:
+
+    def out_models(origin: int) -> Models:
+        if (origin - n_in) % eval_config.refit_every == 0:
             lo = 0 if eval_config.expanding else max(0, origin + 1 - (eval_config.window_width or origin + 1))
             window = series.window(lo, origin + 1)
             for name, spec in diffusive.items():
@@ -524,15 +573,10 @@ def rolling_evaluation(
                     # The window admits no estimate: carry forward, record.
                     entry["error"] = f"{type(exc).__name__}: {exc}"
                 param_paths.append(entry)
-        forecast_origin(
-            report,
-            series,
-            "out",
-            origin,
-            model_map(current_params),
-            eval_config,
-            rng,
-            last_index,
-            lik_config.swap_tenor,
-        )
+        return model_map(current_params)
+
+    report = evaluate_origins(
+        series, n_in, model_map(current_params), out_models, eval_config, rng,
+        lik_config.swap_tenor,
+    )
     return report, param_paths, fits

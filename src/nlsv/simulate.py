@@ -1,6 +1,5 @@
-"""Euler-scheme simulation of the joint (log price, log variance) system,
-Brownian-bridge samplers for data augmentation, and Monte Carlo
-conditional expectations.
+"""Euler-scheme simulation of the joint (log price, log variance) system
+and Brownian-bridge samplers for data augmentation.
 
 Simulation always runs in the log-variance coordinate Y = log(V)/sigma,
 whose diffusion coefficient is exactly 1.  Positivity of V = exp(sigma*Y)
@@ -29,7 +28,6 @@ departing point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,15 +38,17 @@ from .rng import RngStream
 
 @dataclass
 class PathEnsemble:
-    """Recorded simulation output: times in years, per-path x and v."""
+    """Recorded simulation output: per-path x and v."""
 
-    times: np.ndarray  # (n_rec,)
     x: np.ndarray      # (n_paths, n_rec)
     v: np.ndarray      # (n_paths, n_rec)
 
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
+
+def y_step(y, params: ParamVector, spec: ModelSpec, measure: Measure, dt: float, eps_y):
+    """One Euler step of Y = log(V)/sigma (unit diffusion) on the N(0, dt)
+    variance shock ``eps_y``; raises :class:`DomainViolation` when the
+    departing variance is not finite and positive."""
+    return y + y_drift(y, params, spec, measure) * dt + eps_y
 
 
 def euler_step(
@@ -72,7 +72,7 @@ def euler_step(
     eps = np.asarray(eps, dtype=float)
     eps_x, eps_v = eps[..., 0], eps[..., 1]
     v = np.exp(params.sigma * y)
-    y_new = y + y_drift(y, params, spec, measure) * dt + eps_v
+    y_new = y_step(y, params, spec, measure, dt, eps_v)
     sq = np.exp(0.5 * params.sigma * y)
     x_new = (
         x
@@ -122,8 +122,7 @@ def simulate_paths(
             k = step // record_every
             xs[:, k] = x
             vs[:, k] = np.exp(params.sigma * y)
-    times = np.arange(n_rec) * (dt * record_every)
-    return PathEnsemble(times=times, x=xs, v=vs)
+    return PathEnsemble(x=xs, v=vs)
 
 
 def bridge_path(u0, u1, aug_steps: int, noise: np.ndarray) -> np.ndarray:
@@ -217,35 +216,3 @@ def modified_bridge_fill(
     x = bridge_path(u0[..., 0], u1[..., 0], aug_steps, noise)
     return np.stack([x, y], axis=-1)
 
-
-def conditional_expectation(
-    initial: State,
-    params: ParamVector,
-    spec: ModelSpec,
-    horizon: float,
-    payoff: Callable[[PathEnsemble], np.ndarray],
-    n_paths: int,
-    dt: float,
-    rng: RngStream,
-    measure: Measure = Measure.P,
-    record_every: int = 1,
-) -> tuple[float, float]:
-    """Monte Carlo conditional expectation of ``payoff`` at ``horizon``.
-
-    Returns (estimate, standard error).  The payoff receives the recorded
-    path ensemble and must return one value per path.  Callers comparing
-    models pass the same ``rng`` so both evaluations consume identical
-    draws.
-    """
-    if not horizon > 0.0:
-        raise DomainViolation("horizon must be > 0")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise DomainViolation("dt must divide horizon")
-    ens = simulate_paths(
-        initial, params, spec, measure, dt, n_steps, n_paths, rng, record_every=record_every
-    )
-    values = np.asarray(payoff(ens), dtype=float)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return mean, se

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlsv
 from nlsv.cli import main
 
 from conftest import NL_PARAMS
@@ -265,3 +269,14 @@ def test_rolling_command(sim_dir, tmp_path):
     paths = json.loads((roll / "parameter_paths.json").read_text())
     assert len(paths["entries"]) >= 2
     assert all("params" in e or "error" in e for e in paths["entries"])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; no command needs it.
+    env = dict(os.environ, PYTHONPATH=str(Path(nlsv.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nlsv.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -22,8 +22,9 @@ from nlsv.forecasting import (
 )
 from nlsv.likelihood import DensityUnderflow, LikelihoodConfig
 from nlsv.model import iv_to_v, swap_coefficients, v_to_iv
-from nlsv.params import DomainViolation, Family, ModelSpec, ParamVector
+from nlsv.params import DomainViolation, Family, Measure, ModelSpec, ParamVector, State
 from nlsv.rng import RngStream
+from nlsv.simulate import simulate_paths
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, RW, make_series
 
@@ -97,7 +98,7 @@ def test_zero_horizon_returns_current_state():
 def test_common_random_numbers_across_models():
     # Two entries with identical dynamics consume identical draws.
     out = forecast_targets(
-        0.0, 0.045, {"LN": (LN_PARAMS, LN), "NL": (LN_PARAMS, LN)},
+        0.0, 0.045, {"LN": (NL_PARAMS, NL), "NL": (NL_PARAMS, NL)},
         HorizonGrid(returns_iv=(5, 22), rv=(5, 22)), n_paths=64, dt=1 / 262,
         rng=RngStream(3),
     )
@@ -114,15 +115,10 @@ def test_ln_iv_forecast_matches_linear_ode():
     closed_iv = a_c + b_c * closed_v
     iv0 = float(v_to_iv(v0, p))
     grid = HorizonGrid(returns_iv=(tau_days,), rv=(tau_days,))
-    reps = [
-        forecast_targets(
-            0.0, iv0, {"LN": (p, LN)}, grid, n_paths=4000, dt=1 / (262 * 4),
-            rng=RngStream(100).substream(k),
-        )["LN"]["iv"][tau_days]
-        for k in range(8)
-    ]
-    se = np.std(reps, ddof=1) / np.sqrt(len(reps))
-    assert abs(np.mean(reps) - closed_iv) < 3 * se + 1e-5
+    out = forecast_targets(
+        0.0, iv0, {"LN": (p, LN)}, grid, n_paths=4000, dt=1 / (262 * 4), rng=RngStream(100)
+    )
+    assert out["LN"]["iv"][tau_days] == pytest.approx(closed_iv, rel=1e-12)
 
 
 def test_rv_forecast_matches_integrated_ode():
@@ -133,15 +129,114 @@ def test_rv_forecast_matches_integrated_ode():
     closed = np.mean(-p.b0_q / p.b1 + (v0 + p.b0_q / p.b1) * np.exp(p.b1 * days))
     iv0 = float(v_to_iv(v0, p))
     grid = HorizonGrid(returns_iv=(h,), rv=(h,))
-    reps = [
+    out = forecast_targets(
+        0.0, iv0, {"LN": (p, LN)}, grid, n_paths=4000, dt=1 / (262 * 4), rng=RngStream(200)
+    )
+    assert out["LN"]["rv"][h] == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("b1", [LN_PARAMS.b1, 1e-3, -1e-3])
+def test_ln_forecasts_match_integrated_moments(b1):
+    # E[V_s] = v0 e^{b1 s} + b0_q (e^{b1 s} - 1)/b1, and
+    # E[X_t] = x + a0 t + a1 int_0^t E[V], the integral by the midpoint
+    # rule on a fine grid.  |b1| = 1e-3 takes the Taylor-series branch.
+    p = dataclasses.replace(LN_PARAMS, b1=b1)
+    h, v0, n = 66, 0.035, 200_000
+    t = h / 262
+
+    def mean_v(s):
+        return v0 * np.exp(b1 * s) + p.b0_q * np.expm1(b1 * s) / b1
+
+    integral = mean_v((np.arange(n) + 0.5) * (t / n)).sum() * (t / n)
+    a_c, b_c = swap_coefficients(p, 22 / 262)
+    grid = HorizonGrid(returns_iv=(h,), rv=(h,))
+    out = forecast_targets(
+        1.5, float(v_to_iv(v0, p)), {"LN": (p, LN)}, grid, n_paths=1, dt=1 / 262,
+        rng=RngStream(0),
+    )["LN"]
+    assert out["x"][h] == pytest.approx(1.5 + p.a0 * t + p.a1 * integral, rel=1e-12)
+    assert out["iv"][h] == pytest.approx(a_c + b_c * mean_v(t), rel=1e-12)
+    assert out["rv"][h] == pytest.approx(mean_v(np.arange(1, h + 1) / 262).mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("b1", [1e-9, -1e-9])
+def test_ln_closed_form_continuous_across_zero_slope(b1):
+    grid = HorizonGrid()
+    iv0 = float(v_to_iv(0.04, LN_PARAMS))
+
+    def forecasts(slope):
+        p = dataclasses.replace(LN_PARAMS, b1=slope)
+        return forecast_targets(5.0, iv0, {"LN": (p, LN)}, grid, 1, 1 / 262, RngStream(0))["LN"]
+
+    at_zero, near_zero = forecasts(0.0), forecasts(b1)
+    for target in ("x", "iv", "rv"):
+        for h in grid.for_target(target):
+            assert near_zero[target][h] == pytest.approx(at_zero[target][h], rel=1e-9)
+
+
+def test_ln_closed_form_overflow_raises():
+    p = dataclasses.replace(LN_PARAMS, b1=5000.0)
+    with pytest.raises(DomainViolation):
         forecast_targets(
-            0.0, iv0, {"LN": (p, LN)}, grid, n_paths=4000, dt=1 / (262 * 4),
-            rng=RngStream(200).substream(k),
-        )["LN"]["rv"][h]
-        for k in range(8)
-    ]
-    se = np.std(reps, ddof=1) / np.sqrt(len(reps))
-    assert abs(np.mean(reps) - closed) < 3 * se + 1e-5
+            5.0, float(v_to_iv(0.04, p)), {"LN": (p, LN)}, HorizonGrid(), 1, 1 / 262,
+            RngStream(0),
+        )
+
+
+def test_nl_reduced_to_ln_matches_closed_form():
+    # NL with b2 = b3 = 0 and b0 = b0_q is LN.  Its Euler forecasts at
+    # hourly steps differ from the exact LN forecasts by the Euler bias,
+    # estimated as twice the gap to half-hourly steps (weak order one),
+    # plus Monte Carlo error.
+    p = dataclasses.replace(LN_PARAMS, b0=LN_PARAMS.b0_q, b2=0.0, b3=0.0)
+    grid = HorizonGrid(returns_iv=(1, 5, 22), rv=(5, 22))
+    iv0 = float(v_to_iv(0.04, p))
+    hour = 1 / (262 * 8)
+    exact = forecast_targets(5.0, iv0, {"LN": (p, LN)}, grid, 1, hour, RngStream(0))["LN"]
+
+    def replicates(dt):
+        return [
+            forecast_targets(
+                5.0, iv0, {"NL": (p, NL)}, grid, 2000, dt, RngStream(300).substream(k)
+            )["NL"]
+            for k in range(8)
+        ]
+
+    coarse, fine = replicates(hour), replicates(hour / 2)
+    for target in ("x", "iv", "rv"):
+        for h in grid.for_target(target):
+            c = np.array([r[target][h] for r in coarse])
+            f = np.array([r[target][h] for r in fine])
+            se = np.std(c, ddof=1) / np.sqrt(len(c))
+            bias = 2 * abs(c.mean() - f.mean())
+            assert abs(c.mean() - exact[target][h]) < bias + 3 * se, (target, h)
+
+
+def test_nl_forecast_matches_joint_euler_simulation():
+    # NL V paths are those of the joint (X, Y) simulation on the same
+    # stream; the X forecast is the Euler X drift term's mean, which lies
+    # within Monte Carlo error of the simulated X mean.
+    grid = HorizonGrid(returns_iv=(1, 5, 22), rv=(5, 22))
+    x0, iv0, n_paths, steps = 5.7, 0.045, 2000, 8
+    dt = 1 / (262 * steps)
+    rng = RngStream(400).substream(7)
+    got = forecast_targets(x0, iv0, {"NL": (NL_PARAMS, NL)}, grid, n_paths, dt, rng)["NL"]
+    v0 = float(iv_to_v(iv0, NL_PARAMS))
+    ens = simulate_paths(
+        State(x0, v0), NL_PARAMS, NL, Measure.P, dt, 22 * steps, n_paths, rng
+    )
+    mean_v = ens.v.mean(axis=0)
+    a_c, b_c = swap_coefficients(NL_PARAMS, 22 / 262)
+    for h in grid.returns_iv:
+        n = h * steps
+        assert got["iv"][h] == pytest.approx(a_c + b_c * mean_v[n], rel=1e-12)
+        drift_mean = x0 + NL_PARAMS.a0 * h / 262 + NL_PARAMS.a1 * dt * mean_v[:n].sum()
+        assert got["x"][h] == pytest.approx(drift_mean, rel=1e-12)
+        x_end = ens.x[:, n]
+        se = x_end.std(ddof=1) / np.sqrt(n_paths)
+        assert abs(got["x"][h] - x_end.mean()) < 3 * se
+    for h in grid.rv:
+        assert got["rv"][h] == pytest.approx(mean_v[steps : (h + 1) * steps : steps].mean(), rel=1e-12)
 
 
 # --------------------------------------------------------------- metrics

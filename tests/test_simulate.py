@@ -10,7 +10,6 @@ from nlsv.params import DomainViolation, Measure, ParamVector, State
 from nlsv.rng import RngStream
 from nlsv.simulate import (
     brownian_bridge_fill,
-    conditional_expectation,
     euler_step,
     modified_bridge_fill,
     simulate_paths,
@@ -64,6 +63,22 @@ def test_q_long_run_mean_matches_ode_steady_state():
     time_means = ens.v[:, 1:].mean(axis=1)  # per-path 50y time average
     se = time_means.std(ddof=1) / np.sqrt(len(time_means))
     assert abs(time_means.mean() - target) < 3 * se + 0.02 * target  # small Euler bias allowance
+
+
+def test_simulate_paths_terminal_v_matches_ode():
+    # Pricing-measure LN anchor values over one month: E[V] solves the
+    # linear ODE; positive slope is fine at short horizon.
+    tau_days = 22
+    v0 = 0.03
+    p = LN_PARAMS
+    closed = -p.b0_q / p.b1_q + (v0 + p.b0_q / p.b1_q) * np.exp(p.b1_q * tau_days / 262)
+    ens = simulate_paths(
+        State(0.0, v0), p, LN, Measure.Q, dt=1 / (262 * 8), n_steps=tau_days * 8,
+        n_paths=20000, rng=RngStream(21),
+    )
+    terminal = ens.v[:, -1]
+    se = terminal.std(ddof=1) / np.sqrt(len(terminal))
+    assert abs(terminal.mean() - closed) < 3 * se + 2e-4  # 3 MC se plus small Euler bias
 
 
 def test_simulate_paths_deterministic():
@@ -226,37 +241,3 @@ def test_closed_form_fill_matches_recursion(u0, u1, aug, sigma, rho, seed):
     plain = brownian_bridge_fill(u0, u1, aug, delta, eps=eps)
     assert np.array_equal(plain[..., 1], scaled[..., 1])
 
-
-# ------------------------------------------- conditional expectations
-
-
-def test_conditional_expectation_constant_payoff():
-    mean, se = conditional_expectation(
-        State(0.0, 0.04), LN_PARAMS, LN, 26 / 262,
-        payoff=lambda ens: np.full(ens.n_paths, 3.25),
-        n_paths=50, dt=1 / 262, rng=RngStream(2),
-    )
-    assert mean == 3.25 and se == 0.0
-
-
-def test_conditional_expectation_terminal_v_matches_ode():
-    # Pricing-measure LN anchor values over one month: E[V] solves the
-    # linear ODE; positive slope is fine at short horizon.
-    tau = 22 / 262
-    v0 = 0.03
-    p = LN_PARAMS
-    closed = -p.b0_q / p.b1_q + (v0 + p.b0_q / p.b1_q) * np.exp(p.b1_q * tau)
-    mean, se = conditional_expectation(
-        State(0.0, v0), p, LN, tau,
-        payoff=lambda ens: ens.v[:, -1],
-        n_paths=20000, dt=1 / (262 * 8), rng=RngStream(21), measure=Measure.Q,
-    )
-    assert abs(mean - closed) < 3 * se + 2e-4  # 3 MC se plus small Euler bias
-
-
-def test_conditional_expectation_requires_positive_horizon():
-    with pytest.raises(DomainViolation):
-        conditional_expectation(
-            State(0.0, 0.04), LN_PARAMS, LN, 0.0,
-            payoff=lambda ens: ens.v[:, -1], n_paths=8, dt=1 / 262, rng=RngStream(1),
-        )
