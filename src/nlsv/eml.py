@@ -25,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import variance_drift_over_v
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import bridge_path, brownian_bridge_fill, modified_bridge_fill
+from .simulate import bridge_path, modified_bridge_fill
 
 #: Condition-number threshold above which the normal equations are
 #: reported as ill-conditioned instead of solved.
@@ -141,19 +142,25 @@ def variance_residual(
 ) -> np.ndarray:
     """Variance-equation innovation at the current drift coefficients.
 
-    eps_v = g(U1, U0) - sum_l c_l f_l(U0) * delta, distributed N(0, delta)
+    eps_v = y1 - y0 - mu_Y(y0) * delta with the log-variance drift
+    mu_Y = (variance drift)/(sigma V) - sigma/2, distributed N(0, delta)
     when the coefficients are correct.
     """
-    basis = variance_basis(params, spec)
-    coeffs = _free_coeffs(params, spec)
-    drift = sum(c * f(x0, y0) for c, f in zip(coeffs, basis.functions))
-    return basis.offset(x1, y1, x0, y0, delta) - drift * delta
+    y0 = np.asarray(y0, dtype=float)
+    return _residual_at(y1, y0, np.exp(params.sigma * y0), delta, params, spec)
 
 
-def _free_coeffs(params: ParamVector, spec: ModelSpec) -> tuple[float, ...]:
-    if spec.family is Family.LN:
-        return (params.b1,)
-    return params.variance_coeffs(spec)
+def _residual_at(y1, y0, v0, delta: float, params: ParamVector, spec: ModelSpec) -> np.ndarray:
+    """Variance-equation innovation departing from variance ``v0``; the
+    drift term is accumulated in place, as the stock offset evaluates it
+    on whole lattices."""
+    sigma = params.sigma
+    step = variance_drift_over_v(v0, params, spec)
+    step /= sigma
+    step -= 0.5 * sigma
+    step *= -delta
+    step += np.asarray(y1) - y0
+    return step
 
 
 def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
@@ -173,15 +180,20 @@ def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
         return np.exp(0.5 * sigma * np.asarray(y)) / root
 
     def g_x(x1, y1, x0, y0, delta):
-        eps_v = variance_residual(x1, y1, x0, y0, delta, params, spec)
         sq = np.exp(0.5 * sigma * np.asarray(y0))
-        return (np.asarray(x1) - np.asarray(x0) - rho * sq * eps_v) / (root * sq)
+        eps_v = _residual_at(y1, y0, sq * sq, delta, params, spec)
+        eps_v *= -rho
+        eps_v *= sq
+        eps_v += np.asarray(x1) - x0
+        sq *= root
+        eps_v /= sq
+        return eps_v
 
     return BasisTable(functions=(f0, f1), offset=g_x, coeff_names=("a0", "a1"))
 
 
 def assemble_system(
-    x_obs: Sequence[float] | None,
+    x_obs: Sequence[float],
     y_obs: Sequence[float],
     delta_obs: float,
     aug_steps: int,
@@ -197,42 +209,40 @@ def assemble_system(
     Each interval's bridge expectations average ``n_bridges`` independent
     bridge fills drawn from the substream keyed by the interval's absolute
     index, and per-interval contributions are reduced in index order, so
-    the result is independent of any processing partition.
+    the result is independent of any processing partition.  Without a
+    pre-drawn ``eps`` the innovations are drawn chunk by chunk, so memory
+    stays bounded by ``chunk_size`` intervals.
 
-    When ``params`` is given the fills scale the price-coordinate noise by
-    the local diffusion matrix (the log-variance coordinate is unaffected,
-    its diffusion being 1).  The unscaled fill puts unit-scale noise on
-    the price coordinate, which leaves the variance equation unchanged but
-    feeds the price equation's offset a leverage residual that no longer
-    cancels, attenuating the estimated price drift; the scaled fill keeps
-    both equations consistent, so the drift solvers always use it.
-
-    ``x_obs=None`` assembles a basis that reads y alone, as the variance
-    equation's does: only the log-variance coordinate is filled, which is
-    the same for both bridges, and the basis receives None for x.
+    With ``params`` the lattice is the modified-bridge fill of (x, y),
+    whose price noise is scaled by the local diffusion matrix.  Without,
+    only y is filled (Y has unit diffusion, so its fill needs no
+    parameters) and the basis receives None for x; ``x_obs`` is then not
+    read.
     """
-    x_obs = None if x_obs is None else np.asarray(x_obs, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     n_intervals = len(y_obs) - 1
     if n_intervals < 2:
         raise DomainViolation("need at least 3 observations to assemble the system")
     if n_bridges < 1:
         raise DomainViolation("n_bridges must be >= 1")
+    if params is not None:
+        x_obs = np.asarray(x_obs, dtype=float)
     delta = delta_obs / aug_steps
     size = basis.size
 
     idx = np.arange(1, n_intervals)
-    if eps is None:
-        eps = draw_bridge_eps(rng, idx, n_bridges, aug_steps, delta)
     gram_parts = np.empty((len(idx), size, size))
     moment_parts = np.empty((len(idx), size))
     for lo in range(0, len(idx), chunk_size):
         hi = min(lo + chunk_size, len(idx))
         block = idx[lo:hi]
-        eps_blk = eps[lo:hi]             # (B, R, M-1, 2)
+        eps_blk = (                      # (B, R, M-1, 2)
+            eps[lo:hi] if eps is not None
+            else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
+        )
         # Lattice points m = 0..M of every fill, endpoints included.
         y = _lattice(y_obs, block, n_bridges, aug_steps)
-        if x_obs is None:
+        if params is None:
             x0 = x1 = None
             y[..., 1:-1] = bridge_path(
                 y_obs[block, None], y_obs[block + 1, None], aug_steps, eps_blk[..., 1]
@@ -241,16 +251,15 @@ def assemble_system(
             x = _lattice(x_obs, block, n_bridges, aug_steps)
             u0 = np.stack([x_obs[block], y_obs[block]], axis=-1)[:, None]   # (B, 1, 2)
             u1 = np.stack([x_obs[block + 1], y_obs[block + 1]], axis=-1)[:, None]
-            if params is None:
-                aux = brownian_bridge_fill(u0, u1, aug_steps, delta, eps=eps_blk)
-            else:
-                aux = modified_bridge_fill(u0, u1, aug_steps, delta, params, eps=eps_blk)
+            aux = modified_bridge_fill(u0, u1, aug_steps, delta, params, eps=eps_blk)
             x[..., 1:-1] = aux[..., 0]
             y[..., 1:-1] = aux[..., 1]
             x0, x1 = x[..., :-1], x[..., 1:]
         y0, y1 = y[..., :-1], y[..., 1:]
-        fvals = np.stack([f(x0, y0) for f in basis.functions], axis=1)   # (B, L, R, M)
-        gvals = basis.offset(x1, y1, x0, y0, delta)                       # (B, R, M)
+        # Overflow of the state transform is reported just below.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fvals = np.stack([f(x0, y0) for f in basis.functions], axis=1)   # (B, L, R, M)
+            gvals = basis.offset(x1, y1, x0, y0, delta)                       # (B, R, M)
         finite = np.isfinite(fvals).all(axis=(1, 2, 3)) & np.isfinite(gvals).all(axis=(1, 2))
         if not np.all(finite):
             raise DomainViolation(
@@ -309,9 +318,7 @@ def solve_variance_drift(
 ) -> dict[str, float]:
     """Optimal variance drift coefficients given vol and pricing parameters."""
     basis = variance_basis(params, spec)
-    system = assemble_system(
-        None, y_obs, delta_obs, aug_steps, basis, n_bridges, rng, params=params, eps=eps
-    )
+    system = assemble_system(x_obs, y_obs, delta_obs, aug_steps, basis, n_bridges, rng, eps=eps)
     coeffs = system.solve()
     return dict(zip(basis.coeff_names, map(float, coeffs)))
 

@@ -37,6 +37,7 @@ from .model import (
     gamma_transform,
     iv_to_v,
     swap_coefficients,
+    variance_drift_over_v,
 )
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
@@ -85,6 +86,8 @@ class LikelihoodConfig:
         for name in ("aug_steps", "mc_draws", "max_iter"):
             if getattr(self, name) < 1:
                 raise DomainViolation(f"{name} must be >= 1")
+        if self.n_bridges is not None and self.n_bridges < 1:
+            raise DomainViolation("n_bridges must be >= 1")
         if self.delta_obs <= 0 or self.swap_tenor <= 0:
             raise DomainViolation("delta_obs and swap_tenor must be > 0")
 
@@ -174,15 +177,9 @@ def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
     """
     sigma, rho = params.sigma, params.rho
     v = s * s
-    inv_v = 1.0 / v
-    if spec.family is Family.LN:
-        drift_over_v = params.b0_q * inv_v + params.b1
-    else:
-        drift_over_v = (params.b0 * inv_v + params.b1 + params.b2 * v
-                        + params.b3 * inv_v * inv_v)
     rx = dx - (params.a0 + params.a1 * v) * delta
-    ry = dy - (drift_over_v / sigma - 0.5 * sigma) * delta
-    return (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) * inv_v / (
+    ry = dy - (variance_drift_over_v(v, params, spec) / sigma - 0.5 * sigma) * delta
+    return (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) / v / (
         delta * (1.0 - rho**2)
     )
 
@@ -360,24 +357,6 @@ def series_to_lattice_coords(series, params: ParamVector, swap_tenor: float):
     return np.asarray(series.x, dtype=float), y
 
 
-def likelihood_eps(rng: RngStream, interval_indices, config: LikelihoodConfig) -> np.ndarray:
-    """Raw N(0, delta) importance-sampling innovations per interval.
-
-    Parameter-independent, so one array can serve every trial point of an
-    optimization (common random numbers); interval i always draws from
-    ``rng.substream(i)``.
-    """
-    delta = config.delta_obs / config.aug_steps
-    indices = list(interval_indices)
-    out = np.empty((len(indices), config.mc_draws, config.aug_steps - 1, 2))
-    scale = math.sqrt(delta)
-    for j, i in enumerate(indices):
-        out[j] = rng.substream(int(i)).generator().standard_normal(
-            (config.mc_draws, config.aug_steps - 1, 2)
-        ) * scale
-    return out
-
-
 def total_loglik(
     series,
     params: ParamVector,
@@ -415,17 +394,18 @@ def total_loglik(
         raise DomainViolation("series must contain at least 2 observations")
     u = np.stack([x, y], axis=-1)
 
+    delta = config.delta_obs / config.aug_steps
     logp = np.empty(n)
     for lo in range(0, n, config.chunk_size):
         hi = min(lo + config.chunk_size, n)
-        if config.aug_steps > 1:
-            eps_blk = (
-                eps[lo:hi]
-                if eps is not None
-                else likelihood_eps(rng, range(lo, hi), config)
-            )
-        else:
+        if config.aug_steps == 1:
             eps_blk = None
+        elif eps is not None:
+            eps_blk = eps[lo:hi]
+        else:
+            eps_blk = eml.draw_bridge_eps(
+                rng, np.arange(lo, hi), config.mc_draws, config.aug_steps, delta
+            )
         logp[lo:hi] = _log_mean_weight(
             _sml_batch(u[lo:hi], u[lo + 1 : hi + 1], params, spec, config, eps_blk)
         )
@@ -532,7 +512,7 @@ def _profile_params(
             x, y, trial, spec, config.delta_obs, config.aug_steps,
             config.bridge_draws, rng_eml, eps=eml_eps,
         )
-        trial = trial.with_variance_coeffs(spec, [vp[k] for k in sorted(vp, key=_coeff_order)])
+        trial = trial.with_variance_coeffs(spec, vp.values())
         a0, a1 = eml.solve_stock_drift(
             x, y, trial, spec, config.delta_obs, config.aug_steps,
             config.bridge_draws, rng_eml, eps=eml_eps,
@@ -547,28 +527,25 @@ def _profile_params(
 _EPS_CACHE_LIMIT = 1_000_000_000
 
 
+def _cached_eps(rng: RngStream, indices: np.ndarray, n_draws: int, config: LikelihoodConfig):
+    """All innovations of the given intervals, or None when there are
+    none (M = 1) or they would exceed ``_EPS_CACHE_LIMIT`` bytes; callers
+    then draw chunk by chunk."""
+    n_bytes = len(indices) * n_draws * (config.aug_steps - 1) * 2 * 8
+    if config.aug_steps == 1 or n_bytes > _EPS_CACHE_LIMIT:
+        return None
+    return eml.draw_bridge_eps(
+        rng, indices, n_draws, config.aug_steps, config.delta_obs / config.aug_steps
+    )
+
+
 def _maybe_cache_eps(series, config: LikelihoodConfig, rng_eml: RngStream, rng_sml: RngStream):
     """Pre-draw the parameter-independent innovations when they fit in memory."""
-    if config.aug_steps == 1:
-        return None, None
     n = len(series.iv) - 1
-    per_interval = config.aug_steps - 1
-    sml_bytes = n * config.mc_draws * per_interval * 2 * 8
-    eml_bytes = (n - 1) * config.bridge_draws * per_interval * 2 * 8
-    eml_eps = None
-    sml_eps = None
-    if eml_bytes <= _EPS_CACHE_LIMIT:
-        delta = config.delta_obs / config.aug_steps
-        eml_eps = eml.draw_bridge_eps(
-            rng_eml, np.arange(1, n), config.bridge_draws, config.aug_steps, delta
-        )
-    if sml_bytes <= _EPS_CACHE_LIMIT:
-        sml_eps = likelihood_eps(rng_sml, range(n), config)
-    return eml_eps, sml_eps
-
-
-def _coeff_order(name: str) -> int:
-    return {"b0": 0, "b1": 1, "b2": 2, "b3": 3}[name]
+    return (
+        _cached_eps(rng_eml, np.arange(1, n), config.bridge_draws, config),
+        _cached_eps(rng_sml, np.arange(n), config.mc_draws, config),
+    )
 
 
 def fit(
@@ -680,10 +657,8 @@ def sandwich_errors(
     eta0 = to_unconstrained(theta_star, names)
     p = len(names)
     n_obs = len(series.iv) - 1
-    if sml_eps is None and config.aug_steps > 1:
-        n_bytes = n_obs * config.mc_draws * (config.aug_steps - 1) * 2 * 8
-        if n_bytes <= _EPS_CACHE_LIMIT:
-            sml_eps = likelihood_eps(rng_sml, range(n_obs), config)
+    if sml_eps is None:
+        sml_eps = _cached_eps(rng_sml, np.arange(n_obs), config.mc_draws, config)
 
     def contributions(eta: np.ndarray) -> np.ndarray:
         params = from_unconstrained(eta, names, theta_star)

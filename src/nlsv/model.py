@@ -64,10 +64,30 @@ def variance_drift(
         return params.b0_q + params.b1_q * v
     if spec is None:
         raise DomainViolation("a model family is required under the physical measure")
+    return v * variance_drift_over_v(v, params, spec)
+
+
+def variance_drift_over_v(v, params: ParamVector, spec: ModelSpec):
+    """Real-world variance drift divided by V: b0_q/V + b1 for LN and
+    (b3/V + b0)/V + b1 + b2*V for NL.
+
+    The one place each family's drift formula is written.  No domain
+    checks: a non-finite or non-positive ``v`` propagates to the result,
+    which the simulated likelihood reads as a zero weight and the drift
+    solvers report after the fact.  The sum is accumulated in place, so a
+    lattice-sized ``v`` costs at most two more arrays of its size.
+    """
     if spec.family is Family.LN:
-        return params.b0_q + params.b1 * v
+        out = params.b0_q / v
+        out += params.b1
+        return out
     if spec.family is Family.NL:
-        return params.b0 + params.b1 * v + params.b2 * v * v + params.b3 / v
+        out = params.b3 / v
+        out += params.b0
+        out /= v
+        out += params.b1
+        out += params.b2 * v
+        return out
     raise DomainViolation("RW has no drift model")
 
 

@@ -47,27 +47,9 @@ class DomainViolation(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model family plus the size of its variance drift basis."""
+    """Model family of one estimated or forecast model."""
 
     family: Family
-
-    @property
-    def variance_basis_size(self) -> int:
-        """Number of basis functions in the variance drift (L + 1)."""
-        return {Family.RW: 0, Family.LN: 2, Family.NL: 4}[self.family]
-
-    @property
-    def variance_coeff_names(self) -> tuple[str, ...]:
-        if self.family is Family.LN:
-            return ("b0_q", "b1")
-        if self.family is Family.NL:
-            return ("b0", "b1", "b2", "b3")
-        return ()
-
-
-RW_SPEC = ModelSpec(Family.RW)
-LN_SPEC = ModelSpec(Family.LN)
-NL_SPEC = ModelSpec(Family.NL)
 
 
 @dataclass(frozen=True)

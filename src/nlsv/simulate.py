@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import price_drift, y_drift
-from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector, State
+from .params import DomainViolation, Measure, ModelSpec, ParamVector, State
 from .rng import RngStream
 
 

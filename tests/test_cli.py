@@ -166,6 +166,17 @@ def test_malformed_csv_nonzero_exit(tmp_path, capsys):
     assert "row 3" in err
 
 
+def test_negative_n_bridges_nonzero_exit(sim_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    text = RUN_CFG.format(split=_split_date(sim_dir))
+    cfg.write_text(text.replace("n_bridges = 8", "n_bridges = -2"))
+    code = main(
+        ["estimate", "--config", str(cfg), "--input", _series_csv(sim_dir), "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert "n_bridges" in capsys.readouterr().err
+
+
 def test_forecast_and_report(estimate_dir, sim_dir, tmp_path):
     tmp, cfg, est = estimate_dir
     fc = tmp_path / "fc"

@@ -2,20 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nlsv.eml
 from nlsv.eml import (
     BasisTable,
     IllConditionedSystem,
     LinearSystem,
     assemble_system,
+    draw_bridge_eps,
     solve_stock_drift,
     solve_variance_drift,
     stock_basis,
     variance_basis,
     variance_residual,
 )
-from nlsv.model import gamma_transform
-from nlsv.params import DomainViolation
+from nlsv.model import gamma_transform, y_drift
+from nlsv.params import DomainViolation, Measure
 from nlsv.rng import RngStream
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series
@@ -71,6 +75,24 @@ def test_variance_residual_is_centered_innovation():
     # innovations are N(0, delta): mean near 0, variance near delta
     assert abs(eps.mean()) < 4 * np.sqrt(DELTA / len(eps))
     assert eps.var() == pytest.approx(DELTA, rel=0.15)
+
+
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)])
+@given(
+    v0=st.floats(1e-3, 2.0),
+    dy=st.floats(-1.0, 1.0),
+    delta=st.floats(1e-5, 1e-2),
+)
+@settings(max_examples=60, deadline=None)
+def test_variance_residual_matches_y_drift(spec, params, v0, dy, delta):
+    # eps_v = y1 - y0 - mu_Y(y0) * delta term by term, to rounding of the
+    # larger of the two parts.
+    y0 = np.array([gamma_transform(v0, params.sigma)])
+    y1 = y0 + dy
+    step = y_drift(y0, params, spec, Measure.P) * delta
+    got = variance_residual(None, y1, None, y0, delta, params, spec)
+    scale = np.abs(y1 - y0) + np.abs(step)
+    assert np.all(np.abs(got - (y1 - y0 - step)) <= 1e-12 * scale)
 
 
 # -------------------------------------------------------- linear system
@@ -138,6 +160,27 @@ def test_assembly_invariant_to_chunking():
     s3 = assemble_system(x, y, DELTA, 4, basis, chunk_size=10_000, **kw)
     assert np.array_equal(s1.gram, s2.gram) and np.array_equal(s2.gram, s3.gram)
     assert np.array_equal(s1.moment, s2.moment) and np.array_equal(s2.moment, s3.moment)
+
+
+def test_assembly_without_eps_draws_per_chunk(monkeypatch):
+    # With no pre-drawn innovations each chunk draws only its own
+    # intervals, and the system equals the one built on the full array.
+    x, y = _series_xy(NL_PARAMS, NL, 150, 29)
+    basis = stock_basis(NL_PARAMS, NL)
+    aug, n_bridges, chunk = 4, 8, 32
+    sizes = []
+
+    def recorder(rng, indices, *args):
+        sizes.append(len(indices))
+        return draw_bridge_eps(rng, indices, *args)
+
+    monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
+    kw = dict(params=NL_PARAMS, chunk_size=chunk)
+    drawn = assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), **kw)
+    assert sizes and max(sizes) <= chunk
+    eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), n_bridges, aug, DELTA / aug)
+    full = assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), eps=eps, **kw)
+    assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.moment, full.moment)
 
 
 def test_duplicated_system_same_solution():

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from nlsv import eml
 from nlsv.likelihood import (
     DensityUnderflow,
     LikelihoodConfig,
     euler_density,
     fit,
-    likelihood_eps,
     moment_init,
     proposal_density_q,
     sandwich_errors,
@@ -273,7 +273,9 @@ def test_total_loglik_reduction_to_density_sum():
         series, p, LN, cfg, RngStream(3, 2), return_contributions=True
     )
     u = np.stack([x, np.zeros(n)], axis=-1)
-    eps = likelihood_eps(RngStream(3, 2), range(n - 1), cfg)
+    eps = eml.draw_bridge_eps(
+        RngStream(3, 2), range(n - 1), cfg.mc_draws, cfg.aug_steps, cfg.delta_obs / cfg.aug_steps
+    )
     direct = sml_transition_logdensity(u[:-1], u[1:], p, LN, cfg, RngStream(3, 2), eps=eps)
     assert total == pytest.approx(float(direct.sum()), rel=1e-10)
 
@@ -292,7 +294,9 @@ def test_jacobian_bookkeeping_v_vs_y_space():
     v = iv_to_v(series.iv, LN_PARAMS, cfg.swap_tenor)
     y = gamma_transform(v, LN_PARAMS.sigma)
     u = np.stack([x, y], axis=-1)
-    eps = likelihood_eps(rng, range(len(x) - 1), cfg)
+    eps = eml.draw_bridge_eps(
+        rng, range(len(x) - 1), cfg.mc_draws, cfg.aug_steps, cfg.delta_obs / cfg.aug_steps
+    )
     logp_y = sml_transition_logdensity(u[:-1], u[1:], LN_PARAMS, LN, cfg, rng, eps=eps)
     _, b_coef = swap_coefficients(LN_PARAMS, cfg.swap_tenor)
     logp_v = logp_y - math.log(LN_PARAMS.sigma) - LN_PARAMS.sigma * y[1:]
@@ -369,6 +373,23 @@ def test_fit_deterministic():
     assert r1.loglik == r2.loglik
     assert r1.params == r2.params
     assert np.array_equal(r1.covariance, r2.covariance)
+
+
+def test_fit_without_cached_draws_matches_cached(monkeypatch):
+    # Over the cache limit the EML and SML innovations are drawn chunk by
+    # chunk from the same substreams, so the fit is exactly the cached one.
+    import nlsv.likelihood as lik
+
+    series = make_series(NL_PARAMS, NL, 160, 19)
+    cfg = _cfg(aug_steps=2, mc_draws=4, max_iter=30, restarts=1, min_obs=50, chunk_size=64)
+    cached = fit(series, NL, cfg)
+    monkeypatch.setattr(lik, "_EPS_CACHE_LIMIT", 0)
+    assert lik._maybe_cache_eps(series, cfg, RngStream(0, 1), RngStream(0, 2)) == (None, None)
+    uncached = fit(series, NL, cfg)
+    assert uncached.loglik == cached.loglik
+    assert uncached.params == cached.params
+    assert uncached.n_evaluations == cached.n_evaluations
+    assert np.array_equal(uncached.covariance, cached.covariance)
 
 
 def test_fit_recovers_ln_parameters():
