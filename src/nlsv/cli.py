@@ -158,26 +158,23 @@ class RunConfig:
 
 def _coerce(key: str, value, default):
     if isinstance(value, str):
-        text = value.strip()
-        if isinstance(default, bool):
-            low = text.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise DataError(f"config key {key!r}: expected boolean, got {value!r}")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        return text
+        value = value.strip()
     if isinstance(default, bool):
-        return bool(value)
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return str(value)
+        if not isinstance(value, str):
+            return bool(value)
+        low = value.lower()
+        if low in ("true", "1", "yes", "on"):
+            return True
+        if low in ("false", "0", "no", "off"):
+            return False
+        raise DataError(f"config key {key!r}: expected boolean, got {value!r}")
+    kind = type(default)  # int, float or str
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _write_manifest(out_dir: Path, command: str, config: RunConfig, outputs: list[str]) -> None:

@@ -34,6 +34,12 @@ from .simulate import bridge_path, modified_bridge_fill
 #: reported as ill-conditioned instead of solved.
 COND_THRESHOLD = 1e12
 
+#: Lattice points in one chunk of intervals: the EML chunk of 128
+#: intervals at the paper's S = 576 fills of M + 1 = 25 points.  Every
+#: per-chunk array is a small multiple of this many floats, so it bounds
+#: the memory of assembly and of the simulated likelihood at any budget.
+CHUNK_POINTS = 128 * 576 * 25
+
 
 class IllConditionedSystem(RuntimeError):
     """Normal equations too ill-conditioned to solve reliably."""
@@ -192,6 +198,12 @@ def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
     return BasisTable(functions=(f0, f1), offset=g_x, coeff_names=("a0", "a1"))
 
 
+def chunk_intervals(n_draws: int, aug_steps: int) -> int:
+    """Intervals per chunk: as many as fit in ``CHUNK_POINTS`` lattice
+    points at ``n_draws * (aug_steps + 1)`` points each, at least one."""
+    return max(1, CHUNK_POINTS // (n_draws * (aug_steps + 1)))
+
+
 def assemble_system(
     x_obs: Sequence[float],
     y_obs: Sequence[float],
@@ -202,16 +214,18 @@ def assemble_system(
     rng: RngStream,
     params: ParamVector | None = None,
     eps: np.ndarray | None = None,
-    chunk_size: int = 128,
+    chunk_size: int | None = None,
 ) -> LinearSystem:
     """Accumulate the normal equations over intervals 1 .. N-1.
 
     Each interval's bridge expectations average ``n_bridges`` independent
     bridge fills drawn from the substream keyed by the interval's absolute
     index, and per-interval contributions are reduced in index order, so
-    the result is independent of any processing partition.  Without a
-    pre-drawn ``eps`` the innovations are drawn chunk by chunk, so memory
-    stays bounded by ``chunk_size`` intervals.
+    the result is independent of any processing partition.  Intervals are
+    processed ``chunk_size`` at a time, by default
+    ``chunk_intervals(n_bridges, aug_steps)``, so memory is bounded by
+    ``CHUNK_POINTS`` lattice points; without a pre-drawn ``eps`` the
+    innovations are drawn chunk by chunk too.
 
     With ``params`` the lattice is the modified-bridge fill of (x, y),
     whose price noise is scaled by the local diffusion matrix.  Without,
@@ -225,6 +239,8 @@ def assemble_system(
         raise DomainViolation("need at least 3 observations to assemble the system")
     if n_bridges < 1:
         raise DomainViolation("n_bridges must be >= 1")
+    if chunk_size is None:
+        chunk_size = chunk_intervals(n_bridges, aug_steps)
     if params is not None:
         x_obs = np.asarray(x_obs, dtype=float)
     delta = delta_obs / aug_steps

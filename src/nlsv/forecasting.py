@@ -92,6 +92,20 @@ class EvalConfig:
     expanding: bool = True
     window_width: int | None = None
 
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise DomainViolation("n_paths must be >= 1")
+        _steps_per_day(self.dt)
+
+
+def _steps_per_day(dt: float) -> int:
+    """Number of steps of length ``dt`` (years) in one trading day;
+    raises :class:`DomainViolation` unless they tile the day."""
+    steps = round((1.0 / DAYS_PER_YEAR) / dt) if dt > 0 else 0
+    if steps < 1 or abs(steps * dt * DAYS_PER_YEAR - 1.0) > 1e-9:
+        raise DomainViolation("dt must divide one trading day")
+    return steps
+
 
 def realized_variance(x, i: int, n_days: int) -> float:
     """Annualized realized variance of log-price increments over the
@@ -135,9 +149,7 @@ def forecast_targets(
     entry on the same draws.  RW returns current values at every horizon.
     """
     tenor = SWAP_TENOR_YEARS if swap_tenor is None else swap_tenor
-    steps_per_day = round((1.0 / DAYS_PER_YEAR) / dt)
-    if steps_per_day < 1 or abs(steps_per_day * dt * DAYS_PER_YEAR - 1.0) > 1e-9:
-        raise DomainViolation("dt must divide one trading day")
+    steps_per_day = _steps_per_day(dt)
     max_h = horizons.max_horizon
     days = np.arange(max_h + 1)
     years = days / DAYS_PER_YEAR

@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import eml
 from .model import (
@@ -65,6 +64,10 @@ class LikelihoodConfig:
     ``aug_steps`` is the number of Euler sub-steps per observation
     interval (config key ``M``) and ``mc_draws`` the importance-sample
     size (config key ``S``); the default pairing keeps S = M^2 = 576.
+    ``chunk_size`` overrides the number of intervals the likelihood
+    evaluates at once; by default ``eml.chunk_intervals(mc_draws,
+    aug_steps)``, so memory is bounded by ``eml.CHUNK_POINTS`` lattice
+    points.
     """
 
     aug_steps: int = 24
@@ -80,14 +83,16 @@ class LikelihoodConfig:
     xatol: float = 1e-5
     fatol: float = 1e-7
     min_obs: int = 200
-    chunk_size: int = 256
+    chunk_size: int | None = None
 
     def __post_init__(self):
         for name in ("aug_steps", "mc_draws", "max_iter"):
             if getattr(self, name) < 1:
                 raise DomainViolation(f"{name} must be >= 1")
-        if self.n_bridges is not None and self.n_bridges < 1:
-            raise DomainViolation("n_bridges must be >= 1")
+        for name in ("n_bridges", "chunk_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DomainViolation(f"{name} must be >= 1")
         if self.delta_obs <= 0 or self.swap_tenor <= 0:
             raise DomainViolation("delta_obs and swap_tenor must be > 0")
 
@@ -297,9 +302,26 @@ def _sml_batch(
 
 
 def _log_mean_weight(logw: np.ndarray) -> np.ndarray:
-    """log of the average importance weight over the last axis."""
-    with np.errstate(invalid="ignore"):
-        return logsumexp(logw, axis=-1) - math.log(logw.shape[-1])
+    """log of the average importance weight over the last axis.
+
+    Takes the steps of ``scipy.special.logsumexp`` for real input, so the
+    value is bitwise its value less log S, without its per-call overhead:
+    the row maximum, counted with its ties, is taken out of the sum, and
+    rows where that is not finite (every weight zero) fall back to
+    log(sum(exp(logw))).
+    """
+    top = np.max(logw, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = logw - top
+        at_top = w == 0.0
+        np.exp(w, out=w)
+        np.copyto(w, 0.0, where=at_top)
+        count = np.count_nonzero(at_top, axis=-1, keepdims=True).astype(float)
+        out = (np.log1p(w.sum(axis=-1, keepdims=True) / count) + np.log(count) + top)[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(logw[bad]).sum(axis=-1))
+    return out - math.log(logw.shape[-1])
 
 
 def _rel_se(logw: np.ndarray) -> np.ndarray:
@@ -378,6 +400,9 @@ def total_loglik(
 
     Per-interval draws come from ``rng.substream(i)``, so the value does
     not depend on how intervals are partitioned across workers.
+    Intervals are evaluated ``config.chunk_size`` at a time, by default
+    ``eml.chunk_intervals(mc_draws, aug_steps)``, so memory is bounded by
+    ``eml.CHUNK_POINTS`` lattice points.
     """
     if diagnostics is not None:
         diagnostics.clear()
@@ -395,9 +420,10 @@ def total_loglik(
     u = np.stack([x, y], axis=-1)
 
     delta = config.delta_obs / config.aug_steps
+    chunk = config.chunk_size or eml.chunk_intervals(config.mc_draws, config.aug_steps)
     logp = np.empty(n)
-    for lo in range(0, n, config.chunk_size):
-        hi = min(lo + config.chunk_size, n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         if config.aug_steps == 1:
             eps_blk = None
         elif eps is not None:

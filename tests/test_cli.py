@@ -177,6 +177,32 @@ def test_negative_n_bridges_nonzero_exit(sim_dir, tmp_path, capsys):
     assert "n_bridges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["M = 2.5\n", '{"M": 2.5}'])
+def test_non_integer_config_value_nonzero_exit(sim_dir, tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main(
+        ["estimate", "--config", str(cfg), "--input", _series_csv(sim_dir), "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert "'M'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forecast", "rolling"])
+def test_dt_not_dividing_a_day_nonzero_exit(estimate_dir, sim_dir, tmp_path, capsys, command):
+    # 3-hour steps do not tile an 8-hour trading day: a settings error,
+    # not an origin with explosive dynamics to skip.
+    tmp, cfg, est = estimate_dir
+    bad = tmp_path / "run.cfg"
+    bad.write_text(cfg.read_text().replace("dt_hours = 8", "dt_hours = 3"))
+    argv = [command, "--config", str(bad), "--input", _series_csv(sim_dir), "--out", str(tmp_path / "o")]
+    if command == "forecast":
+        argv += ["--fit", str(est / "fit_NL.json")]
+    assert main(argv) == 1
+    assert "dt" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_forecast_and_report(estimate_dir, sim_dir, tmp_path):
     tmp, cfg, est = estimate_dir
     fc = tmp_path / "fc"

@@ -183,6 +183,37 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
     assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.moment, full.moment)
 
 
+def test_default_chunking_matches_single_intervals():
+    x, y = _series_xy(NL_PARAMS, NL, 150, 29)
+    basis = stock_basis(NL_PARAMS, NL)
+    kw = dict(n_bridges=8, rng=RngStream(3, 9), params=NL_PARAMS)
+    default = assemble_system(x, y, DELTA, 4, basis, **kw)
+    single = assemble_system(x, y, DELTA, 4, basis, chunk_size=1, **kw)
+    assert np.array_equal(default.gram, single.gram)
+    assert np.array_equal(default.moment, single.moment)
+
+
+def test_default_chunk_bounds_the_draws(monkeypatch):
+    # The default chunk holds as many intervals as fit in CHUNK_POINTS
+    # lattice points, and each chunk draws only its own intervals.
+    x, y = _series_xy(NL_PARAMS, NL, 150, 29)
+    aug, n_bridges = 4, 8
+    monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", 17 * n_bridges * (aug + 1) + 5)
+    chunk = nlsv.eml.chunk_intervals(n_bridges, aug)
+    assert chunk == 17
+    sizes = []
+
+    def recorder(rng, indices, *args):
+        sizes.append(len(indices))
+        return draw_bridge_eps(rng, indices, *args)
+
+    monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
+    basis = stock_basis(NL_PARAMS, NL)
+    assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), params=NL_PARAMS)
+    assert len(sizes) == -(-(len(y) - 2) // chunk)
+    assert max(sizes) == chunk
+
+
 def test_duplicated_system_same_solution():
     x, y = _series_xy(NL_PARAMS, NL, 300, 31)
     system = assemble_system(x, y, DELTA, 2, variance_basis(NL_PARAMS, NL), 4, RngStream(8))

@@ -339,6 +339,12 @@ def _quick_eval_config(**kw):
     return EvalConfig(**base)
 
 
+@pytest.mark.parametrize("kw", [dict(n_paths=0), dict(dt=3 / (262 * 8)), dict(dt=0.0)])
+def test_eval_config_rejects_bad_settings(kw):
+    with pytest.raises(DomainViolation):
+        _quick_eval_config(**kw)
+
+
 def _quick_lik_config(**kw):
     base = dict(
         aug_steps=1, mc_draws=1, max_iter=30, restarts=1, min_obs=40, seed=9

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from nlsv import eml
 from nlsv.likelihood import (
     DensityUnderflow,
     LikelihoodConfig,
+    _log_mean_weight,
     euler_density,
     fit,
     moment_init,
@@ -360,6 +365,55 @@ def test_total_loglik_invariant_to_chunking():
     a = total_loglik(series, LN_PARAMS, LN, cfg1, RngStream(8, 2))
     b = total_loglik(series, LN_PARAMS, LN, cfg2, RngStream(8, 2))
     assert a == b
+
+
+def test_total_loglik_default_chunking_matches_explicit(monkeypatch):
+    series = make_series(LN_PARAMS, LN, 70, 13)
+    explicit = total_loglik(
+        series, LN_PARAMS, LN, _cfg(aug_steps=3, mc_draws=8, chunk_size=7), RngStream(8, 2)
+    )
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    assert cfg.chunk_size is None
+    assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == explicit
+    # A points budget of 11 intervals: several default chunks, none larger.
+    monkeypatch.setattr(eml, "CHUNK_POINTS", 11 * 8 * 4)
+    sizes = []
+    drawer = eml.draw_bridge_eps
+
+    def recorder(rng, indices, *args):
+        sizes.append(len(indices))
+        return drawer(rng, indices, *args)
+
+    monkeypatch.setattr(eml, "draw_bridge_eps", recorder)
+    assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == explicit
+    assert len(sizes) == -(-69 // 11) and max(sizes) == 11
+
+
+def test_chunk_size_below_one_rejected():
+    with pytest.raises(DomainViolation, match="chunk_size"):
+        _cfg(chunk_size=0)
+
+
+_LOG_WEIGHT = st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf))
+
+
+@given(
+    logw=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12), elements=_LOG_WEIGHT
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_mean_weight_is_scipy_logsumexp(logw, data):
+    # Bitwise, not to a tolerance: ties at the maximum and rows whose
+    # weights all vanish take the same steps as scipy.
+    ties = data.draw(hnp.arrays(np.bool_, logw.shape))
+    logw = np.where(ties, logw.max(axis=-1, keepdims=True), logw)
+    logw[data.draw(hnp.arrays(np.bool_, logw.shape[:1]))] = -np.inf
+    expected = logsumexp(logw, axis=-1) - math.log(logw.shape[-1])
+    got = _log_mean_weight(logw)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 # ------------------------------------------------------------- fitting
