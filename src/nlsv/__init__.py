@@ -13,7 +13,6 @@ from .forecasting import (
     clark_west,
     forecast_targets,
     metrics,
-    model_realized_variance,
     realized_variance,
     risk_premium_series,
     rolling_evaluation,
@@ -23,17 +22,13 @@ from .likelihood import (
     LikelihoodConfig,
     euler_density,
     fit,
-    proposal_density_q,
     sandwich_errors,
-    sml_transition_logdensity,
     total_loglik,
 )
 from .model import (
     dampening,
     drift_p,
-    drift_q,
     excess_drift_f,
-    gamma_inverse,
     gamma_transform,
     iv_to_v,
     market_price_of_risk,
@@ -44,7 +39,6 @@ from .params import Family, Measure, ModelSpec, ParamVector, State
 from .rng import RngStream
 from .simulate import (
     PathEnsemble,
-    brownian_bridge_fill,
     euler_step,
     modified_bridge_fill,
     simulate_paths,

@@ -91,16 +91,19 @@ class RunConfig:
                 values[key] = _coerce(key, value, getattr(cls, key))
         env_seed = os.environ.get("NLSV_SEED")
         if env_seed is not None:
-            values["seed"] = int(env_seed)
+            values["seed"] = _coerce("seed", env_seed, cls.seed)
         for key, value in overrides.items():
             if value is not None:
                 values[key] = value
         return cls(**values)
 
     def horizon_grid(self) -> HorizonGrid:
-        hs = tuple(int(h) for h in str(self.horizons).replace(" ", "").split(",") if h)
+        try:
+            hs = tuple(int(h) for h in str(self.horizons).replace(" ", "").split(",") if h)
+        except ValueError:
+            hs = ()
         if not hs or any(h < 1 for h in hs):
-            raise DataError(f"invalid horizons {self.horizons!r}")
+            raise DataError(f"config key 'horizons': invalid horizons {self.horizons!r}")
         rv = tuple(h for h in hs if h > 1)
         return HorizonGrid(returns_iv=hs, rv=rv)
 
@@ -194,7 +197,10 @@ def _load_series(config: RunConfig) -> ObservedSeries:
 
 
 def _trading_dates(start: str, n: int) -> np.ndarray:
-    start_day = np.datetime64(start, "D")
+    try:
+        start_day = np.datetime64(start, "D")
+    except ValueError:
+        raise DataError(f"config key 'start_date': not a date, got {start!r}") from None
     # Roll forward to a business day, then take n consecutive business days.
     offsets = np.arange(n)
     return np.busday_offset(start_day, offsets, roll="forward")

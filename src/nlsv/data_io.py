@@ -71,10 +71,6 @@ class SampleSplit:
     def in_sample(self) -> ObservedSeries:
         return self.series.window(0, self.split_index)
 
-    @property
-    def out_sample(self) -> ObservedSeries:
-        return self.series.window(self.split_index, len(self.series))
-
 
 def load_csv(path, vxo_unit: str, price_is_log: bool = False) -> ObservedSeries:
     """Read and validate a ``date,price,vxo`` CSV.
@@ -142,7 +138,10 @@ def load_csv(path, vxo_unit: str, price_is_log: bool = False) -> ObservedSeries:
 
 def split(series: ObservedSeries, split_date) -> SampleSplit:
     """Partition at the first date strictly after ``split_date``."""
-    split_date = np.datetime64(split_date, "D")
+    try:
+        split_date = np.datetime64(split_date, "D")
+    except ValueError:
+        raise DataError(f"split_date: not a date, got {split_date!r}") from None
     if not (series.dates[0] <= split_date <= series.dates[-1]):
         raise DataError(
             f"split date {split_date} outside series range "

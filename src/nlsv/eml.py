@@ -144,22 +144,16 @@ def variance_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
 
 
 def variance_residual(
-    x1, y1, x0, y0, delta: float, params: ParamVector, spec: ModelSpec
+    y1, y0, v0, delta: float, params: ParamVector, spec: ModelSpec
 ) -> np.ndarray:
     """Variance-equation innovation at the current drift coefficients.
 
     eps_v = y1 - y0 - mu_Y(y0) * delta with the log-variance drift
-    mu_Y = (variance drift)/(sigma V) - sigma/2, distributed N(0, delta)
-    when the coefficients are correct.
+    mu_Y = (variance drift)/(sigma V) - sigma/2 evaluated at the departing
+    variance ``v0`` = exp(sigma * y0), distributed N(0, delta) when the
+    coefficients are correct.  The drift term is accumulated in place, as
+    the stock offset evaluates it on whole lattices.
     """
-    y0 = np.asarray(y0, dtype=float)
-    return _residual_at(y1, y0, np.exp(params.sigma * y0), delta, params, spec)
-
-
-def _residual_at(y1, y0, v0, delta: float, params: ParamVector, spec: ModelSpec) -> np.ndarray:
-    """Variance-equation innovation departing from variance ``v0``; the
-    drift term is accumulated in place, as the stock offset evaluates it
-    on whole lattices."""
     sigma = params.sigma
     step = variance_drift_over_v(v0, params, spec)
     step /= sigma
@@ -174,7 +168,9 @@ def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
 
     The offset depends on the variance-equation innovation through the
     leverage term, so the variance drift coefficients held by ``params``
-    must already be the optimized ones.
+    must already be the optimized ones.  The innovation is evaluated on the
+    whole lattice, departing from V0 = s^2 with s = exp(sigma*y0/2), the
+    scale of the price noise.
     """
     sigma, rho = params.sigma, params.rho
     root = np.sqrt(1.0 - rho**2)
@@ -187,7 +183,7 @@ def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
 
     def g_x(x1, y1, x0, y0, delta):
         sq = np.exp(0.5 * sigma * np.asarray(y0))
-        eps_v = _residual_at(y1, y0, sq * sq, delta, params, spec)
+        eps_v = variance_residual(y1, y0, sq * sq, delta, params, spec)
         eps_v *= -rho
         eps_v *= sq
         eps_v += np.asarray(x1) - x0
@@ -214,7 +210,6 @@ def assemble_system(
     rng: RngStream,
     params: ParamVector | None = None,
     eps: np.ndarray | None = None,
-    chunk_size: int | None = None,
 ) -> LinearSystem:
     """Accumulate the normal equations over intervals 1 .. N-1.
 
@@ -222,10 +217,9 @@ def assemble_system(
     bridge fills drawn from the substream keyed by the interval's absolute
     index, and per-interval contributions are reduced in index order, so
     the result is independent of any processing partition.  Intervals are
-    processed ``chunk_size`` at a time, by default
-    ``chunk_intervals(n_bridges, aug_steps)``, so memory is bounded by
-    ``CHUNK_POINTS`` lattice points; without a pre-drawn ``eps`` the
-    innovations are drawn chunk by chunk too.
+    processed ``chunk_intervals(n_bridges, aug_steps)`` at a time, so
+    memory is bounded by ``CHUNK_POINTS`` lattice points; without a
+    pre-drawn ``eps`` the innovations are drawn chunk by chunk too.
 
     With ``params`` the lattice is the modified-bridge fill of (x, y),
     whose price noise is scaled by the local diffusion matrix.  Without,
@@ -239,8 +233,7 @@ def assemble_system(
         raise DomainViolation("need at least 3 observations to assemble the system")
     if n_bridges < 1:
         raise DomainViolation("n_bridges must be >= 1")
-    if chunk_size is None:
-        chunk_size = chunk_intervals(n_bridges, aug_steps)
+    chunk = chunk_intervals(n_bridges, aug_steps)
     if params is not None:
         x_obs = np.asarray(x_obs, dtype=float)
     delta = delta_obs / aug_steps
@@ -249,8 +242,8 @@ def assemble_system(
     idx = np.arange(1, n_intervals)
     gram_parts = np.empty((len(idx), size, size))
     moment_parts = np.empty((len(idx), size))
-    for lo in range(0, len(idx), chunk_size):
-        hi = min(lo + chunk_size, len(idx))
+    for lo in range(0, len(idx), chunk):
+        hi = min(lo + chunk, len(idx))
         block = idx[lo:hi]
         eps_blk = (                      # (B, R, M-1, 2)
             eps[lo:hi] if eps is not None

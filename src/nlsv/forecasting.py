@@ -39,7 +39,7 @@ from scipy.special import ndtr
 
 from .data_io import ObservedSeries, split
 from .eml import IllConditionedSystem
-from .likelihood import DensityUnderflow, FitResult, LikelihoodConfig, fit
+from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
     SWAP_TENOR_YEARS,
@@ -117,17 +117,6 @@ def realized_variance(x, i: int, n_days: int) -> float:
         raise DomainViolation(f"need {n_days} days of history before index {i}")
     diffs = np.diff(x[i - n_days : i + 1])
     return float(DAYS_PER_YEAR / n_days * np.sum(diffs * diffs))
-
-
-def model_realized_variance(v_path, i: int, n_days: int) -> float:
-    """Average of daily instantaneous variances over the window ending at
-    index i; annualized by construction."""
-    v_path = np.asarray(v_path, dtype=float)
-    if n_days < 1:
-        raise DomainViolation("n_days must be >= 1")
-    if i < n_days:
-        raise DomainViolation(f"need {n_days} days of history before index {i}")
-    return float(np.mean(v_path[i - n_days + 1 : i + 1]))
 
 
 def forecast_targets(
@@ -373,9 +362,6 @@ class ForecastReport:
                 out.add(int(h))
         return sorted(out)
 
-    def n_records(self) -> int:
-        return sum(len(cell["origin"]) for cell in self.cells.values())
-
     def metrics_for(self, sample: str, model: str, target: str, horizon: int) -> Metrics | None:
         cell = self.cell(sample, model, target, horizon)
         if cell is None or not cell["origin"]:
@@ -542,9 +528,11 @@ def rolling_evaluation(
     window is available via ``eval_config.window_width``) every
     ``refit_every`` dates, warm-starting from the previous estimates.
     Returns the report, the per-date parameter paths, and the in-sample
-    fits.  A refit that raises DomainViolation, IllConditionedSystem or
-    DensityUnderflow is recorded in its parameter path entry and the
-    previous estimates are carried forward; any other exception propagates.
+    fits.  A refit that raises DomainViolation (too few observations, no
+    feasible parameter point, or a likelihood that is not finite near the
+    optimum) or IllConditionedSystem (a singular sandwich Hessian) is
+    recorded in its parameter path entry and the previous estimates are
+    carried forward; any other exception propagates.
     """
     sp = split(series, split_date)
     n_in = sp.split_index
@@ -581,7 +569,7 @@ def rolling_evaluation(
                         k: getattr(res.params, k) for k in res.param_names
                     }
                     entry["loglik"] = res.loglik
-                except (DomainViolation, IllConditionedSystem, DensityUnderflow) as exc:
+                except (DomainViolation, IllConditionedSystem) as exc:
                     # The window admits no estimate: carry forward, record.
                     entry["error"] = f"{type(exc).__name__}: {exc}"
                 param_paths.append(entry)

@@ -49,14 +49,6 @@ STREAM_INIT = 3
 _PENALTY = 1e12
 
 
-class DensityUnderflow(RuntimeError):
-    """All importance weights underflowed for at least one interval."""
-
-    def __init__(self, n_failed: int):
-        self.n_failed = n_failed
-        super().__init__(f"importance weights underflowed on {n_failed} interval(s)")
-
-
 @dataclass(frozen=True)
 class LikelihoodConfig:
     """Budgets and tolerances of the simulated-likelihood machinery.
@@ -64,10 +56,9 @@ class LikelihoodConfig:
     ``aug_steps`` is the number of Euler sub-steps per observation
     interval (config key ``M``) and ``mc_draws`` the importance-sample
     size (config key ``S``); the default pairing keeps S = M^2 = 576.
-    ``chunk_size`` overrides the number of intervals the likelihood
-    evaluates at once; by default ``eml.chunk_intervals(mc_draws,
-    aug_steps)``, so memory is bounded by ``eml.CHUNK_POINTS`` lattice
-    points.
+    Memory is bounded by the budgets alone: the drift solves and the
+    likelihood evaluate ``eml.chunk_intervals`` intervals at a time, at
+    most ``eml.CHUNK_POINTS`` lattice points.
     """
 
     aug_steps: int = 24
@@ -83,30 +74,19 @@ class LikelihoodConfig:
     xatol: float = 1e-5
     fatol: float = 1e-7
     min_obs: int = 200
-    chunk_size: int | None = None
 
     def __post_init__(self):
         for name in ("aug_steps", "mc_draws", "max_iter"):
             if getattr(self, name) < 1:
                 raise DomainViolation(f"{name} must be >= 1")
-        for name in ("n_bridges", "chunk_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise DomainViolation(f"{name} must be >= 1")
+        if self.n_bridges is not None and self.n_bridges < 1:
+            raise DomainViolation("n_bridges must be >= 1")
         if self.delta_obs <= 0 or self.swap_tenor <= 0:
             raise DomainViolation("delta_obs and swap_tenor must be > 0")
 
     @property
     def bridge_draws(self) -> int:
         return self.mc_draws if self.n_bridges is None else self.n_bridges
-
-
-@dataclass
-class SmlDiagnostics:
-    """Per-evaluation health report of the importance-sampling average."""
-
-    logdensity: np.ndarray
-    rel_se: np.ndarray  # standard error of the density estimate / estimate
 
 
 @dataclass
@@ -163,15 +143,6 @@ def _full_param_names(spec: ModelSpec) -> tuple[str, ...]:
     raise DomainViolation("RW has no estimated parameters")
 
 
-def _gauss2_logpdf(rx, ry, v, sq, rho: float, scale) -> np.ndarray:
-    """Log-density of a centered bivariate normal with covariance
-    scale * [[v, rho*sqrt(v)], [rho*sqrt(v), 1]]."""
-    one_m_r2 = 1.0 - rho**2
-    det = scale**2 * v * one_m_r2
-    quad = (rx * rx - 2.0 * rho * sq * rx * ry + v * ry * ry) / (scale * v * one_m_r2)
-    return -math.log(2.0 * math.pi) - 0.5 * np.log(det) - 0.5 * quad
-
-
 def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
     """Quadratic form r' (delta Sigma Sigma')^{-1} r of an Euler increment
     (dx, dy) departing from a state with s = exp(sigma*y/2), so V = s^2.
@@ -214,32 +185,6 @@ def euler_density(u_next, u_curr, params: ParamVector, spec: ModelSpec, delta: f
     dx, dy = u_next[..., 0] - u_curr[..., 0], u_next[..., 1] - y0
     quad = _euler_quad(dx, dy, s, params, spec, delta)
     return _euler_log_norm(params, delta) - 0.5 * params.sigma * y0 - 0.5 * quad
-
-
-def proposal_density_q(
-    u_next, u_curr, u_end, params: ParamVector, m: int, aug_steps: int, delta: float
-) -> np.ndarray:
-    """Log-density of the modified-bridge proposal for lattice step m.
-
-    The proposal pulls toward the interval endpoint: mean
-    u_curr + (u_end - u_curr)/(M - m), covariance
-    (M-m-1)/(M-m) * Sigma Sigma' * delta.  The final lattice point
-    (m = M-1) is deterministic and has no density.
-    """
-    if not 0 <= m < aug_steps - 1:
-        raise DomainViolation(f"m must be in [0, {aug_steps - 1}), got {m}")
-    u_next = np.asarray(u_next, dtype=float)
-    u_curr = np.asarray(u_curr, dtype=float)
-    u_end = np.asarray(u_end, dtype=float)
-    remain = aug_steps - m
-    fac = (remain - 1) / remain
-    y0 = u_curr[..., 1]
-    v = np.exp(params.sigma * y0)
-    sq = np.exp(0.5 * params.sigma * y0)
-    mean = u_curr + (u_end - u_curr) / remain
-    rx = u_next[..., 0] - mean[..., 0]
-    ry = u_next[..., 1] - mean[..., 1]
-    return _gauss2_logpdf(rx, ry, v, sq, params.rho, fac * delta)
 
 
 def _sml_batch(
@@ -336,42 +281,6 @@ def _rel_se(logw: np.ndarray) -> np.ndarray:
         return np.where(mean_w > 0.0, std_w / (mean_w * math.sqrt(s_draws)), np.inf)
 
 
-def sml_transition_logdensity(
-    u_from,
-    u_to,
-    params: ParamVector,
-    spec: ModelSpec,
-    config: LikelihoodConfig,
-    rng: RngStream,
-    eps: np.ndarray | None = None,
-    return_diagnostics: bool = False,
-):
-    """Simulated log transition density over one observation interval.
-
-    Deterministic given ``rng``.  With aug_steps == 1 this reduces exactly
-    to the Euler density.  Raises :class:`DensityUnderflow` when every
-    importance weight underflows for some endpoint pair.
-    """
-    u_from = np.asarray(u_from, dtype=float)
-    u_to = np.asarray(u_to, dtype=float)
-    if eps is None and config.aug_steps > 1:
-        shape = (
-            np.broadcast_shapes(u_from.shape, u_to.shape)[:-1]
-            + (config.mc_draws, config.aug_steps - 1, 2)
-        )
-        eps = rng.generator().standard_normal(shape) * math.sqrt(
-            config.delta_obs / config.aug_steps
-        )
-    logw = _sml_batch(u_from, u_to, params, spec, config, eps)
-    logdensity = _log_mean_weight(logw)
-    n_failed = int(np.count_nonzero(~np.isfinite(logdensity)))
-    if n_failed:
-        raise DensityUnderflow(n_failed)
-    if return_diagnostics:
-        return SmlDiagnostics(logdensity=logdensity, rel_se=_rel_se(logw))
-    return logdensity if logdensity.ndim else float(logdensity)
-
-
 def series_to_lattice_coords(series, params: ParamVector, swap_tenor: float):
     """Map an observed (x, iv) series to (x, y) estimation coordinates."""
     v = iv_to_v(series.iv, params, swap_tenor)
@@ -386,7 +295,6 @@ def total_loglik(
     config: LikelihoodConfig,
     rng: RngStream,
     return_contributions: bool = False,
-    diagnostics: dict | None = None,
     eps: np.ndarray | None = None,
 ):
     """Full-sample log-likelihood in (x, y) coordinates.
@@ -395,23 +303,19 @@ def total_loglik(
     pairs, subtracts the per-observation change-of-variable term
     sigma * Y_i and the constant N * (log B + log sigma).  Parameter
     points at which the implied-variance inversion leaves the variance
-    domain, or at which every importance weight underflows, evaluate to
-    -inf; ``diagnostics`` (when given) receives the failure count.
+    domain, or at which every importance weight of some interval
+    underflows, evaluate to -inf (with contributions None).
 
     Per-interval draws come from ``rng.substream(i)``, so the value does
     not depend on how intervals are partitioned across workers.
-    Intervals are evaluated ``config.chunk_size`` at a time, by default
-    ``eml.chunk_intervals(mc_draws, aug_steps)``, so memory is bounded by
-    ``eml.CHUNK_POINTS`` lattice points.
+    Intervals are evaluated ``eml.chunk_intervals(mc_draws, aug_steps)``
+    at a time, so memory is bounded by ``eml.CHUNK_POINTS`` lattice
+    points; without a pre-drawn ``eps`` the innovations are drawn chunk by
+    chunk too.
     """
-    if diagnostics is not None:
-        diagnostics.clear()
-        diagnostics["n_failed_intervals"] = 0
     try:
         x, y = series_to_lattice_coords(series, params, config.swap_tenor)
     except DomainViolation:
-        if diagnostics is not None:
-            diagnostics["n_failed_intervals"] = len(series.iv)
         return (-np.inf, None) if return_contributions else -np.inf
 
     n = len(x) - 1
@@ -420,7 +324,7 @@ def total_loglik(
     u = np.stack([x, y], axis=-1)
 
     delta = config.delta_obs / config.aug_steps
-    chunk = config.chunk_size or eml.chunk_intervals(config.mc_draws, config.aug_steps)
+    chunk = eml.chunk_intervals(config.mc_draws, config.aug_steps)
     logp = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -436,10 +340,7 @@ def total_loglik(
             _sml_batch(u[lo:hi], u[lo + 1 : hi + 1], params, spec, config, eps_blk)
         )
 
-    n_failed = int(np.count_nonzero(~np.isfinite(logp)))
-    if n_failed:
-        if diagnostics is not None:
-            diagnostics["n_failed_intervals"] = n_failed
+    if not np.all(np.isfinite(logp)):
         return (-np.inf, None) if return_contributions else -np.inf
 
     _, b_coef = swap_coefficients(params, config.swap_tenor)

@@ -91,14 +91,6 @@ def variance_drift_over_v(v, params: ParamVector, spec: ModelSpec):
     raise DomainViolation("RW has no drift model")
 
 
-def drift_q(v, params: ParamVector) -> np.ndarray:
-    """Pricing-measure drift vector (price component, variance component)."""
-    v = _check_variance(v)
-    return np.stack(
-        [price_drift(v, params, Measure.Q), variance_drift(v, params, None, Measure.Q)]
-    )
-
-
 def drift_p(v, params: ParamVector, spec: ModelSpec) -> np.ndarray:
     """Real-world drift vector for the LN or NL family."""
     v = _check_variance(v)
@@ -129,16 +121,6 @@ def excess_drift_f(v, params: ParamVector, spec: ModelSpec) -> np.ndarray:
     else:
         raise DomainViolation("RW has no drift model")
     return np.stack([np.broadcast_to(top, v.shape).astype(float), np.broadcast_to(bottom, v.shape).astype(float)])
-
-
-def diffusion_matrix(v, params: ParamVector) -> np.ndarray:
-    """Joint (X, V) diffusion matrix Sigma(V), shape (2, 2) + v.shape."""
-    v = _check_variance(v)
-    sq = np.sqrt(v)
-    z = np.zeros_like(v)
-    row1 = np.stack([np.sqrt(1.0 - params.rho**2) * sq, params.rho * sq])
-    row2 = np.stack([z, params.sigma * v])
-    return np.stack([row1, row2])
 
 
 def diffusion_det(v, params: ParamVector) -> np.ndarray:
@@ -191,11 +173,6 @@ def gamma_transform(v, sigma: float) -> np.ndarray:
     """Log-variance coordinate y = log(v) / sigma; bijective on v > 0."""
     v = _check_variance(v)
     return np.log(v) / sigma
-
-
-def gamma_inverse(y, sigma: float) -> np.ndarray:
-    """Inverse transform v = exp(sigma * y)."""
-    return np.exp(sigma * np.asarray(y, dtype=float))
 
 
 def swap_coefficients(params: ParamVector, delta: float) -> tuple[float, float]:

@@ -90,32 +90,6 @@ class ParamVector:
                 raise DomainViolation(f"{name} must be finite")
         return self
 
-    def partition(self, spec: ModelSpec) -> dict[str, tuple[str, ...]]:
-        """Four-way disjoint partition of the estimated parameter names."""
-        if spec.family is Family.LN:
-            return {
-                "sigma": ("sigma", "rho", "b0_q"),
-                "q": ("b1_q",),
-                "xp": ("a0", "a1"),
-                "vp": ("b1",),
-            }
-        if spec.family is Family.NL:
-            return {
-                "sigma": ("sigma", "rho"),
-                "q": ("b0_q", "b1_q"),
-                "xp": ("a0", "a1"),
-                "vp": ("b0", "b1", "b2", "b3"),
-            }
-        raise DomainViolation("RW has no estimated parameters")
-
-    def variance_coeffs(self, spec: ModelSpec) -> tuple[float, ...]:
-        """Coefficients multiplying the variance drift basis, in basis order."""
-        if spec.family is Family.LN:
-            return (self.b0_q, self.b1)
-        if spec.family is Family.NL:
-            return (self.b0, self.b1, self.b2, self.b3)
-        raise DomainViolation("RW has no variance drift")
-
     def with_variance_coeffs(self, spec: ModelSpec, coeffs) -> "ParamVector":
         """Return a copy with the free variance drift coefficients replaced.
 

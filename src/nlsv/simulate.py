@@ -1,28 +1,26 @@
 """Euler-scheme simulation of the joint (log price, log variance) system
-and Brownian-bridge samplers for data augmentation.
+and the modified-bridge fill used for data augmentation.
 
 Simulation always runs in the log-variance coordinate Y = log(V)/sigma,
 whose diffusion coefficient is exactly 1.  Positivity of V = exp(sigma*Y)
 then holds by construction under any step size, with no truncation fixes.
 
-Bridge samplers draw the auxiliary points between an observation pair
-(U_0, U_M) from the recursion
+The fill draws the auxiliary points between an observation pair
+(U_0, U_M) from the modified (state-scaled) bridge recursion
 
     U_{m+1} = U_m + (U_M - U_m)/(M - m) + sqrt((M-m-1)/(M-m)) * n_m,
 
-with n_m = e_m ~ N(0, delta * I) for the plain Brownian bridge and
-n_m = Sigma(U_m) e_m, Sigma the local diffusion matrix, for the modified
-(state-scaled) bridge used as the importance-sampling proposal of the
-simulated likelihood.  Subtracting the linear interpolation of the
-endpoints turns the recursion into a cumulative sum, so each coordinate
-has the closed form
+with n_m = Sigma(U_m) e_m, e_m ~ N(0, delta * I) and Sigma the local
+diffusion matrix; it is the importance-sampling proposal of the simulated
+likelihood.  Subtracting the linear interpolation of the endpoints turns
+the recursion into a cumulative sum, so each coordinate has the closed
+form
 
     U_k = U_0 + (k/M)(U_M - U_0)
           + (M - k) * sum_{m<k} n_m / sqrt((M-m)(M-m-1)),   k = 1 .. M-1.
 
-Y has unit diffusion, so its fill is the same for both bridges; only the
-X noise of the modified bridge is scaled, by exp(sigma*Y_m/2) at the
-departing point.
+Y has unit diffusion, so its column is the plain Brownian bridge of e_y;
+only the X noise is scaled, by exp(sigma*Y_m/2) at the departing point.
 """
 
 from __future__ import annotations
@@ -144,66 +142,33 @@ def bridge_path(u0, u1, aug_steps: int, noise: np.ndarray) -> np.ndarray:
     return path
 
 
-def _bridge_eps(u0, u1, aug_steps, delta, rng, eps) -> np.ndarray:
-    """The fill's N(0, delta) innovations: ``eps`` itself, or drawn from ``rng``."""
-    if aug_steps < 1:
-        raise DomainViolation("aug_steps must be >= 1")
-    if eps is not None:
-        return eps
-    if rng is None:
-        raise DomainViolation("supply rng or eps")
-    shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug_steps - 1, 2)
-    return rng.generator().standard_normal(shape) * np.sqrt(delta)
-
-
-def brownian_bridge_fill(
-    u0,
-    u1,
-    aug_steps: int,
-    delta: float,
-    rng: RngStream | None = None,
-    eps: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact Brownian-bridge draw of the M-1 auxiliary points.
-
-    ``u0`` and ``u1`` are (..., 2) endpoint arrays; the result has shape
-    (..., M-1, 2) and is pinned so that the recursion's final step lands
-    exactly on ``u1``.  For aug_steps == 1 an empty array is returned.
-    Either ``rng`` or a pre-drawn N(0, delta) array ``eps`` of shape
-    (..., M-1, 2) must be supplied.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    eps = _bridge_eps(u0, u1, aug_steps, delta, rng, eps)
-    if aug_steps == 1:
-        return np.empty(eps.shape[:-2] + (0, 2))
-    return np.stack(
-        [bridge_path(u0[..., i], u1[..., i], aug_steps, eps[..., i]) for i in range(2)],
-        axis=-1,
-    )
-
-
 def modified_bridge_fill(
     u0,
     u1,
     aug_steps: int,
     delta: float,
     params: ParamVector,
-    rng: RngStream | None = None,
-    eps: np.ndarray | None = None,
+    eps: np.ndarray,
 ) -> np.ndarray:
     """Bridge draw with noise premultiplied by the local diffusion matrix.
 
+    ``u0`` and ``u1`` are (..., 2) endpoint arrays that broadcast against
+    the N(0, delta) innovations ``eps`` of shape (..., M-1, 2).  The result
+    has shape (..., M-1, 2), empty for aug_steps == 1, and the recursion's
+    final step lands exactly on ``u1``.
+
     In (x, y) coordinates the diffusion matrix rows are
     (sqrt(1-rho^2)*exp(sigma*y/2), rho*exp(sigma*y/2)) and (0, 1), so the
-    y fill is the plain Brownian-bridge fill while the x fill takes the
-    noise exp(sigma*Y_m/2) * (sqrt(1-rho^2)*e_x + rho*e_y) at each
-    departing point Y_m.  This is the importance-sampling proposal of the
+    y fill is the plain Brownian-bridge fill :func:`bridge_path` of e_y
+    while the x fill takes the noise
+    exp(sigma*Y_m/2) * (sqrt(1-rho^2)*e_x + rho*e_y) at each departing
+    point Y_m.  This is the importance-sampling proposal of the
     simulated-likelihood estimator.
     """
+    if aug_steps < 1:
+        raise DomainViolation("aug_steps must be >= 1")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    eps = _bridge_eps(u0, u1, aug_steps, delta, rng, eps)
     if aug_steps == 1:
         return np.empty(eps.shape[:-2] + (0, 2))
     y = bridge_path(u0[..., 1], u1[..., 1], aug_steps, eps[..., 1])

@@ -188,6 +188,36 @@ def test_non_integer_config_value_nonzero_exit(sim_dir, tmp_path, capsys, text):
     assert "'M'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra, env, key",
+    [
+        ("simulate", "", {"NLSV_SEED": "abc"}, "seed"),
+        ("simulate", "start_date = notadate\n", {}, "start_date"),
+        ("rolling", "horizons = 1,x\n", {}, "horizons"),
+        ("rolling", "split_date = 1999-13-45\n", {}, "split_date"),
+    ],
+    ids=["NLSV_SEED", "start_date", "horizons", "split_date"],
+)
+def test_unparseable_setting_nonzero_exit(
+    sim_dir, tmp_path, capsys, monkeypatch, command, extra, env, key
+):
+    # A setting that does not parse is an error naming its key, not a
+    # traceback, and rolling reports it before any fit runs.
+    fits = []
+    monkeypatch.setattr(nlsv.forecasting, "fit", lambda *args, **kw: fits.append(args))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = tmp_path / "run.cfg"
+    base = SIM_CFG if command == "simulate" else RUN_CFG.format(split=_split_date(sim_dir))
+    cfg.write_text(base + extra)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "rolling":
+        argv += ["--input", _series_csv(sim_dir)]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert fits == []
+
+
 @pytest.mark.parametrize("command", ["forecast", "rolling"])
 def test_dt_not_dividing_a_day_nonzero_exit(estimate_dir, sim_dir, tmp_path, capsys, command):
     # 3-hour steps do not tile an 8-hour trading day: a settings error,

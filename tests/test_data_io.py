@@ -113,14 +113,14 @@ def test_split_partition():
     series = _series(10)
     sp = split(series, series.dates[3])
     assert len(sp.in_sample) == 4
-    assert len(sp.out_sample) == 6
-    assert sp.in_sample.dates[-1] <= series.dates[3] < sp.out_sample.dates[0]
+    assert len(series) - sp.split_index == 6
+    assert sp.in_sample.dates[-1] <= series.dates[3] < series.dates[sp.split_index]
 
 
 def test_split_at_last_date_empty_out_sample():
     series = _series(6)
     sp = split(series, series.dates[-1])
-    assert len(sp.out_sample) == 0
+    assert sp.split_index == len(series)
     assert len(sp.in_sample) == 6
 
 
@@ -169,7 +169,7 @@ def test_empty_report_round_trips(tmp_path):
     path = tmp_path / "report.json"
     save_results(report, path)
     back = ForecastReport.from_dict(load_results(path))
-    assert back.n_records() == 0
+    assert back.cells == {}
     save_results(back, tmp_path / "report2.json")
     assert (tmp_path / "report2.json").read_bytes() == path.read_bytes()
 

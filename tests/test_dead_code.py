@@ -1,0 +1,51 @@
+"""Guard against code that the package itself never calls.
+
+A module-level function or class, or a method other than a dunder, that
+no module of ``nlsv`` references by name or attribute (``__init__.py``'s
+re-exports do not count) is reachable only from tests: delete it, or
+allow it below with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import nlsv
+
+SRC = Path(nlsv.__file__).resolve().parent
+
+ALLOWED = {
+    # The relative standard error of the importance-sampling average: the
+    # planned fit diagnostics report it at the optimum, and the SML
+    # unbiasedness test standardizes its errors with it.
+    "likelihood._rel_se",
+}
+
+
+def _definitions(stem: str, tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, f"{stem}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, f"{stem}.{node.name}.{item.name}"
+
+
+def test_every_definition_is_referenced_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        qualified
+        for stem, tree in trees.items()
+        for name, qualified in _definitions(stem, tree)
+        if name not in referenced and qualified not in ALLOWED
+    ]
+    assert unreferenced == []

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlsv.eml
@@ -52,7 +54,7 @@ def test_nl_basis_matches_y_drift():
     from nlsv.params import Measure
 
     basis = variance_basis(NL_PARAMS, NL)
-    coeffs = NL_PARAMS.variance_coeffs(NL)
+    coeffs = (NL_PARAMS.b0, NL_PARAMS.b1, NL_PARAMS.b2, NL_PARAMS.b3)
     y = np.linspace(-2.0, 0.5, 31)
     total = sum(c * f(None, y) for c, f in zip(coeffs, basis.functions))
     expected = y_drift(y, NL_PARAMS, NL, Measure.P) + 0.5 * NL_PARAMS.sigma
@@ -71,7 +73,8 @@ def test_ln_offset_absorbs_intercept():
 
 def test_variance_residual_is_centered_innovation():
     x, y = _series_xy(NL_PARAMS, NL, 800, 51)
-    eps = variance_residual(x[1:], y[1:], x[:-1], y[:-1], DELTA, NL_PARAMS, NL)
+    y0 = y[:-1]
+    eps = variance_residual(y[1:], y0, np.exp(NL_PARAMS.sigma * y0), DELTA, NL_PARAMS, NL)
     # innovations are N(0, delta): mean near 0, variance near delta
     assert abs(eps.mean()) < 4 * np.sqrt(DELTA / len(eps))
     assert eps.var() == pytest.approx(DELTA, rel=0.15)
@@ -90,7 +93,7 @@ def test_variance_residual_matches_y_drift(spec, params, v0, dy, delta):
     y0 = np.array([gamma_transform(v0, params.sigma)])
     y1 = y0 + dy
     step = y_drift(y0, params, spec, Measure.P) * delta
-    got = variance_residual(None, y1, None, y0, delta, params, spec)
+    got = variance_residual(y1, y0, np.exp(params.sigma * y0), delta, params, spec)
     scale = np.abs(y1 - y0) + np.abs(step)
     assert np.all(np.abs(got - (y1 - y0 - step)) <= 1e-12 * scale)
 
@@ -151,15 +154,40 @@ def test_gram_matrix_exactly_symmetric():
     assert np.max(np.abs(system.gram - system.gram.T)) == 0.0
 
 
-def test_assembly_invariant_to_chunking():
+def _chunk_points(chunk, n_bridges, aug):
+    """``CHUNK_POINTS`` value that makes every chunk ``chunk`` intervals."""
+    return chunk * n_bridges * (aug + 1)
+
+
+_CHUNK_KW = dict(n_bridges=8, rng=RngStream(3, 9), params=NL_PARAMS)
+
+
+@functools.cache
+def _unchunked_systems():
+    """The series of the chunking tests and, per basis, its system
+    assembled in one chunk."""
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
-    basis = variance_basis(NL_PARAMS, NL)
-    kw = dict(n_bridges=8, rng=RngStream(3, 9), params=NL_PARAMS)
-    s1 = assemble_system(x, y, DELTA, 4, basis, chunk_size=1, **kw)
-    s2 = assemble_system(x, y, DELTA, 4, basis, chunk_size=37, **kw)
-    s3 = assemble_system(x, y, DELTA, 4, basis, chunk_size=10_000, **kw)
-    assert np.array_equal(s1.gram, s2.gram) and np.array_equal(s2.gram, s3.gram)
-    assert np.array_equal(s1.moment, s2.moment) and np.array_equal(s2.moment, s3.moment)
+    bases = (variance_basis(NL_PARAMS, NL), stock_basis(NL_PARAMS, NL))
+    return x, y, [(basis, assemble_system(x, y, DELTA, 4, basis, **_CHUNK_KW)) for basis in bases]
+
+
+@given(chunk=st.integers(1, 148))
+@example(chunk=1)
+@example(chunk=37)
+@example(chunk=10_000)
+@settings(max_examples=20, deadline=None)
+def test_assembly_invariant_to_chunking(chunk):
+    # Intervals draw from their own substreams and their contributions are
+    # reduced in index order, so any chunk length gives the system bitwise:
+    # the variance basis on the modified-bridge lattice, and the stock
+    # basis on innovations drawn chunk by chunk.
+    x, y, systems = _unchunked_systems()
+    for basis, whole in systems:
+        with mock.patch.object(nlsv.eml, "CHUNK_POINTS", _chunk_points(chunk, 8, 4)):
+            assert nlsv.eml.chunk_intervals(8, 4) == chunk
+            chunked = assemble_system(x, y, DELTA, 4, basis, **_CHUNK_KW)
+        assert np.array_equal(whole.gram, chunked.gram)
+        assert np.array_equal(whole.moment, chunked.moment)
 
 
 def test_assembly_without_eps_draws_per_chunk(monkeypatch):
@@ -168,6 +196,7 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
     basis = stock_basis(NL_PARAMS, NL)
     aug, n_bridges, chunk = 4, 8, 32
+    monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(chunk, n_bridges, aug))
     sizes = []
 
     def recorder(rng, indices, *args):
@@ -175,7 +204,7 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
         return draw_bridge_eps(rng, indices, *args)
 
     monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
-    kw = dict(params=NL_PARAMS, chunk_size=chunk)
+    kw = dict(params=NL_PARAMS)
     drawn = assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), **kw)
     assert sizes and max(sizes) <= chunk
     eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), n_bridges, aug, DELTA / aug)
@@ -183,12 +212,13 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
     assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.moment, full.moment)
 
 
-def test_default_chunking_matches_single_intervals():
+def test_default_chunking_matches_single_intervals(monkeypatch):
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
     basis = stock_basis(NL_PARAMS, NL)
     kw = dict(n_bridges=8, rng=RngStream(3, 9), params=NL_PARAMS)
     default = assemble_system(x, y, DELTA, 4, basis, **kw)
-    single = assemble_system(x, y, DELTA, 4, basis, chunk_size=1, **kw)
+    monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(1, 8, 4))
+    single = assemble_system(x, y, DELTA, 4, basis, **kw)
     assert np.array_equal(default.gram, single.gram)
     assert np.array_equal(default.moment, single.moment)
 

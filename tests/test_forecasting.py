@@ -15,12 +15,11 @@ from nlsv.forecasting import (
     direction_hits,
     forecast_targets,
     metrics,
-    model_realized_variance,
     realized_variance,
     risk_premium_series,
     rolling_evaluation,
 )
-from nlsv.likelihood import DensityUnderflow, LikelihoodConfig
+from nlsv.likelihood import LikelihoodConfig
 from nlsv.model import iv_to_v, swap_coefficients, v_to_iv
 from nlsv.params import DomainViolation, Family, Measure, ModelSpec, ParamVector, State
 from nlsv.rng import RngStream
@@ -56,17 +55,6 @@ def test_realized_variance_against_naive_loop():
 def test_realized_variance_needs_history():
     with pytest.raises(DomainViolation):
         realized_variance(np.zeros(10), 4, 5)
-
-
-def test_model_realized_variance_constant():
-    v = np.full(30, 0.042)
-    assert model_realized_variance(v, 25, 22) == pytest.approx(0.042, rel=1e-14)
-
-
-def test_model_realized_variance_ramp():
-    v = np.arange(30, dtype=float)
-    # window j = i-n+1..i of a linear ramp averages to the midpoint
-    assert model_realized_variance(v, 28, 5) == pytest.approx(np.mean(v[24:29]), rel=1e-14)
 
 
 # ------------------------------------------------------- point forecasts
@@ -361,7 +349,7 @@ def test_rolling_split_at_end_gives_empty_out_sample():
     )
     assert "out" not in report.samples()
     assert paths == []
-    assert report.n_records() > 0  # in-sample records exist
+    assert any(cell["origin"] for cell in report.cells.values())  # in-sample records exist
 
 
 def test_rolling_bookkeeping_and_determinism():
@@ -385,7 +373,7 @@ def test_rolling_bookkeeping_and_determinism():
 
 @pytest.mark.parametrize(
     "exc",
-    [DomainViolation("window infeasible"), IllConditionedSystem(1e13), DensityUnderflow(3)],
+    [DomainViolation("window infeasible"), IllConditionedSystem(1e13)],
 )
 def test_rolling_records_typed_refit_failures(monkeypatch, exc):
     _, paths, _ = _rolling_with_failing_refits(monkeypatch, exc)

@@ -1,24 +1,25 @@
 import dataclasses
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from nlsv import eml
 from nlsv.likelihood import (
-    DensityUnderflow,
     LikelihoodConfig,
     _log_mean_weight,
+    _rel_se,
+    _sml_batch,
     euler_density,
     fit,
     moment_init,
-    proposal_density_q,
     sandwich_errors,
-    sml_transition_logdensity,
     total_loglik,
 )
 from nlsv.model import gamma_transform, iv_to_v, swap_coefficients, v_to_iv
@@ -39,6 +40,60 @@ def _cfg(**kw):
     base = dict(aug_steps=4, mc_draws=16, min_obs=2, seed=0)
     base.update(kw)
     return LikelihoodConfig(**base)
+
+
+def _sml_logw(u_from, u_to, params, spec, cfg, rng, eps=None):
+    """Log importance weights of the simulated transition density, on
+    ``eps`` or, without it, on N(0, delta) draws from ``rng.generator()``
+    of shape (..., S, M-1, 2)."""
+    u_from = np.asarray(u_from, dtype=float)
+    u_to = np.asarray(u_to, dtype=float)
+    if eps is None and cfg.aug_steps > 1:
+        shape = (
+            np.broadcast_shapes(u_from.shape, u_to.shape)[:-1]
+            + (cfg.mc_draws, cfg.aug_steps - 1, 2)
+        )
+        eps = rng.generator().standard_normal(shape) * math.sqrt(cfg.delta_obs / cfg.aug_steps)
+    return _sml_batch(u_from, u_to, params, spec, cfg, eps)
+
+
+def _sml_logdensity(u_from, u_to, params, spec, cfg, rng, eps=None):
+    """Simulated log transition density: the log mean importance weight."""
+    return _log_mean_weight(_sml_logw(u_from, u_to, params, spec, cfg, rng, eps))
+
+
+def _gauss2_logpdf(rx, ry, v, sq, rho: float, scale) -> np.ndarray:
+    """Log-density of a centered bivariate normal with covariance
+    scale * [[v, rho*sqrt(v)], [rho*sqrt(v), 1]]."""
+    one_m_r2 = 1.0 - rho**2
+    det = scale**2 * v * one_m_r2
+    quad = (rx * rx - 2.0 * rho * sq * rx * ry + v * ry * ry) / (scale * v * one_m_r2)
+    return -math.log(2.0 * math.pi) - 0.5 * np.log(det) - 0.5 * quad
+
+
+def proposal_density_q(u_next, u_curr, u_end, params, m: int, aug_steps: int, delta: float):
+    """Reference: log-density of the modified-bridge proposal for lattice
+    step m.
+
+    The proposal pulls toward the interval endpoint: mean
+    u_curr + (u_end - u_curr)/(M - m), covariance
+    (M-m-1)/(M-m) * Sigma Sigma' * delta.  The final lattice point
+    (m = M-1) is deterministic and has no density.
+    """
+    if not 0 <= m < aug_steps - 1:
+        raise DomainViolation(f"m must be in [0, {aug_steps - 1}), got {m}")
+    u_next = np.asarray(u_next, dtype=float)
+    u_curr = np.asarray(u_curr, dtype=float)
+    u_end = np.asarray(u_end, dtype=float)
+    remain = aug_steps - m
+    fac = (remain - 1) / remain
+    y0 = u_curr[..., 1]
+    v = np.exp(params.sigma * y0)
+    sq = np.exp(0.5 * params.sigma * y0)
+    mean = u_curr + (u_end - u_curr) / remain
+    rx = u_next[..., 0] - mean[..., 0]
+    ry = u_next[..., 1] - mean[..., 1]
+    return _gauss2_logpdf(rx, ry, v, sq, params.rho, fac * delta)
 
 
 # -------------------------------------------------------- euler density
@@ -105,9 +160,8 @@ def test_proposal_scores_bridge_draws_finite():
     u0 = np.array([0.0, -1.3])
     u1 = np.array([0.02, -1.2])
     n = 10_000
-    aux = modified_bridge_fill(
-        np.broadcast_to(u0, (n, 2)), u1, aug, delta, p, rng=RngStream(31)
-    )
+    eps = RngStream(31).generator().standard_normal((n, aug - 1, 2)) * math.sqrt(delta)
+    aux = modified_bridge_fill(np.broadcast_to(u0, (n, 2)), u1, aug, delta, p, eps=eps)
     prev = np.broadcast_to(u0, (n, 2))
     for m in range(aug - 1):
         ld = proposal_density_q(aux[:, m, :], prev, u1, p, m, aug, delta)
@@ -167,7 +221,7 @@ def test_proposal_approaches_driftless_euler_for_many_steps():
 def test_sml_reduces_to_euler_at_m1():
     cfg = _cfg(aug_steps=1, mc_draws=1)
     u0, u1 = np.array([0.0, -1.4]), np.array([0.01, -1.35])
-    ld = sml_transition_logdensity(u0, u1, LN_PARAMS, LN, cfg, RngStream(1))
+    ld = _sml_logdensity(u0, u1, LN_PARAMS, LN, cfg, RngStream(1))
     assert ld == pytest.approx(float(euler_density(u1, u0, LN_PARAMS, LN, DELTA)), rel=1e-14)
 
 
@@ -179,7 +233,7 @@ def test_sml_exact_in_pure_brownian_case():
     gen = RngStream(5).generator()
     u0 = gen.standard_normal((50, 2)) * 0.2
     u1 = u0 + gen.standard_normal((50, 2)) * math.sqrt(DELTA)
-    ld = sml_transition_logdensity(u0, u1, BROWNIAN, LN, cfg, RngStream(6))
+    ld = _sml_logdensity(u0, u1, BROWNIAN, LN, cfg, RngStream(6))
     exact = -np.log(2 * np.pi * DELTA) - 0.5 * np.sum((u1 - u0) ** 2, axis=1) / DELTA
     assert np.max(np.abs(ld - exact)) < 1e-9
 
@@ -191,17 +245,14 @@ def test_sml_unbiased_with_state_dependent_diffusion():
     u0 = np.array([0.0, gamma_transform(0.033, p.sigma)])
     u1 = np.array([0.01, gamma_transform(0.040, p.sigma)])
     ref_cfg = _cfg(aug_steps=8, mc_draws=200_000)
-    ref = sml_transition_logdensity(
-        u0, u1, p, LN, ref_cfg, RngStream(777), return_diagnostics=True
-    )
+    ref = _sml_logdensity(u0, u1, p, LN, ref_cfg, RngStream(777))
     cfg = _cfg(aug_steps=8, mc_draws=256)
     zs = []
     for k in range(100):
-        diag = sml_transition_logdensity(
-            u0, u1, p, LN, cfg, RngStream(800).substream(k), return_diagnostics=True
-        )
-        z = (math.exp(float(diag.logdensity)) - math.exp(float(ref.logdensity))) / (
-            math.exp(float(diag.logdensity)) * float(diag.rel_se)
+        logw = _sml_logw(u0, u1, p, LN, cfg, RngStream(800).substream(k))
+        logdensity = _log_mean_weight(logw)
+        z = (math.exp(float(logdensity)) - math.exp(float(ref))) / (
+            math.exp(float(logdensity)) * float(_rel_se(logw))
         )
         zs.append(z)
     zs = np.array(zs)
@@ -218,9 +269,7 @@ def test_sml_spread_shrinks_with_sample_size():
     for s_draws in (576, 5760):
         cfg = _cfg(aug_steps=24, mc_draws=s_draws)
         vals = [
-            float(
-                sml_transition_logdensity(u0, u1, p, LN, cfg, RngStream(901).substream(k))
-            )
+            float(_sml_logdensity(u0, u1, p, LN, cfg, RngStream(901).substream(k)))
             for k in range(24)
         ]
         spreads.append(np.std(vals, ddof=1))
@@ -239,7 +288,7 @@ def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
     u0 = np.array([0.0, gamma_transform(0.033, params.sigma)])
     u1 = np.array([0.01, gamma_transform(0.040, params.sigma)])
     eps = RngStream(41).generator().standard_normal((1, aug - 1, 2)) * math.sqrt(delta)
-    ld = sml_transition_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=eps)
+    ld = _sml_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=eps)
     aux = modified_bridge_fill(u0, u1, aug, delta, params, eps=eps[0])
     points = np.concatenate([u0[None], aux, u1[None]])
     explicit = sum(
@@ -251,11 +300,12 @@ def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
 
 
 def test_sml_underflow_reported():
+    # Every weight vanishes: the log-density is -inf, which total_loglik
+    # reports as a log-likelihood of -inf.
     cfg = _cfg(aug_steps=2, mc_draws=4)
     u0 = np.array([0.0, -1.0])
     u1 = np.array([1e6, 1e6])
-    with pytest.raises(DensityUnderflow):
-        sml_transition_logdensity(u0, u1, LN_PARAMS, LN, cfg, RngStream(2))
+    assert _sml_logdensity(u0, u1, LN_PARAMS, LN, cfg, RngStream(2)) == -np.inf
 
 
 # ------------------------------------------------------- total loglik
@@ -281,7 +331,7 @@ def test_total_loglik_reduction_to_density_sum():
     eps = eml.draw_bridge_eps(
         RngStream(3, 2), range(n - 1), cfg.mc_draws, cfg.aug_steps, cfg.delta_obs / cfg.aug_steps
     )
-    direct = sml_transition_logdensity(u[:-1], u[1:], p, LN, cfg, RngStream(3, 2), eps=eps)
+    direct = _sml_logdensity(u[:-1], u[1:], p, LN, cfg, RngStream(3, 2), eps=eps)
     assert total == pytest.approx(float(direct.sum()), rel=1e-10)
 
 
@@ -302,7 +352,7 @@ def test_jacobian_bookkeeping_v_vs_y_space():
     eps = eml.draw_bridge_eps(
         rng, range(len(x) - 1), cfg.mc_draws, cfg.aug_steps, cfg.delta_obs / cfg.aug_steps
     )
-    logp_y = sml_transition_logdensity(u[:-1], u[1:], LN_PARAMS, LN, cfg, rng, eps=eps)
+    logp_y = _sml_logdensity(u[:-1], u[1:], LN_PARAMS, LN, cfg, rng, eps=eps)
     _, b_coef = swap_coefficients(LN_PARAMS, cfg.swap_tenor)
     logp_v = logp_y - math.log(LN_PARAMS.sigma) - LN_PARAMS.sigma * y[1:]
     total_v = float(logp_v.sum()) - (len(x) - 1) * math.log(b_coef)
@@ -312,10 +362,11 @@ def test_jacobian_bookkeeping_v_vs_y_space():
 def test_total_loglik_infeasible_transform_is_minus_inf():
     series = make_series(LN_PARAMS, LN, 50, 91)
     bad = dataclasses.replace(LN_PARAMS, b0_q=5.0)  # A above every IV
-    diag = {}
-    out = total_loglik(series, bad, LN, _cfg(), RngStream(1), diagnostics=diag)
+    out = total_loglik(series, bad, LN, _cfg(), RngStream(1))
     assert out == -np.inf
-    assert diag["n_failed_intervals"] > 0
+    assert total_loglik(series, bad, LN, _cfg(), RngStream(1), return_contributions=True) == (
+        -np.inf, None
+    )
 
 
 def test_score_matches_analytic_euler_score():
@@ -358,22 +409,33 @@ def test_total_loglik_stable_in_draw_count():
     assert abs(lls[0] - lls[1]) < 0.05 * len(series.iv)
 
 
-def test_total_loglik_invariant_to_chunking():
+@functools.cache
+def _unchunked_loglik():
+    """The series of the chunking tests and its log-likelihood in one chunk."""
     series = make_series(LN_PARAMS, LN, 70, 13)
-    cfg1 = _cfg(aug_steps=3, mc_draws=8, chunk_size=7)
-    cfg2 = _cfg(aug_steps=3, mc_draws=8, chunk_size=512)
-    a = total_loglik(series, LN_PARAMS, LN, cfg1, RngStream(8, 2))
-    b = total_loglik(series, LN_PARAMS, LN, cfg2, RngStream(8, 2))
-    assert a == b
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    return series, total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2))
+
+
+@given(chunk=st.integers(1, 69))
+@example(chunk=7)
+@example(chunk=512)
+@settings(max_examples=25, deadline=None)
+def test_total_loglik_invariant_to_chunking(chunk):
+    # Intervals draw from their own substreams and the densities are summed
+    # in index order, so any chunk length gives the value bitwise.
+    series, whole = _unchunked_loglik()
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    with mock.patch.object(eml, "CHUNK_POINTS", chunk * 8 * 4):
+        assert eml.chunk_intervals(8, 3) == chunk
+        assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == whole
 
 
 def test_total_loglik_default_chunking_matches_explicit(monkeypatch):
     series = make_series(LN_PARAMS, LN, 70, 13)
-    explicit = total_loglik(
-        series, LN_PARAMS, LN, _cfg(aug_steps=3, mc_draws=8, chunk_size=7), RngStream(8, 2)
-    )
     cfg = _cfg(aug_steps=3, mc_draws=8)
-    assert cfg.chunk_size is None
+    with mock.patch.object(eml, "CHUNK_POINTS", 7 * 8 * 4):
+        explicit = total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2))
     assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == explicit
     # A points budget of 11 intervals: several default chunks, none larger.
     monkeypatch.setattr(eml, "CHUNK_POINTS", 11 * 8 * 4)
@@ -387,11 +449,6 @@ def test_total_loglik_default_chunking_matches_explicit(monkeypatch):
     monkeypatch.setattr(eml, "draw_bridge_eps", recorder)
     assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == explicit
     assert len(sizes) == -(-69 // 11) and max(sizes) == 11
-
-
-def test_chunk_size_below_one_rejected():
-    with pytest.raises(DomainViolation, match="chunk_size"):
-        _cfg(chunk_size=0)
 
 
 _LOG_WEIGHT = st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf))
@@ -435,7 +492,8 @@ def test_fit_without_cached_draws_matches_cached(monkeypatch):
     import nlsv.likelihood as lik
 
     series = make_series(NL_PARAMS, NL, 160, 19)
-    cfg = _cfg(aug_steps=2, mc_draws=4, max_iter=30, restarts=1, min_obs=50, chunk_size=64)
+    cfg = _cfg(aug_steps=2, mc_draws=4, max_iter=30, restarts=1, min_obs=50)
+    monkeypatch.setattr(eml, "CHUNK_POINTS", 64 * 4 * 3)  # chunks of 64 intervals
     cached = fit(series, NL, cfg)
     monkeypatch.setattr(lik, "_EPS_CACHE_LIMIT", 0)
     assert lik._maybe_cache_eps(series, cfg, RngStream(0, 1), RngStream(0, 2)) == (None, None)

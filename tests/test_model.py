@@ -9,18 +9,17 @@ from scipy.integrate import quad
 from nlsv.model import (
     dampening,
     diffusion_det,
-    diffusion_matrix,
     drift_p,
-    drift_q,
     excess_drift_f,
-    gamma_inverse,
     gamma_transform,
     iv_to_v,
     market_price_of_risk,
+    price_drift,
     swap_coefficients,
     v_to_iv,
+    variance_drift,
 )
-from nlsv.params import DomainViolation, ParamVector
+from nlsv.params import DomainViolation, Measure, ParamVector
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, RW
 
@@ -30,16 +29,23 @@ TENOR = 22 / 262
 # ---------------------------------------------------------------- drifts
 
 
+def _drift_q(v, params):
+    """Pricing-measure drift vector (price component, variance component)."""
+    return np.stack(
+        [price_drift(v, params, Measure.Q), variance_drift(v, params, None, Measure.Q)]
+    )
+
+
 def test_drift_q_table_values():
     p = dataclasses.replace(NL_PARAMS, r=0.05)
-    mu = drift_q(0.04, p)
+    mu = _drift_q(0.04, p)
     assert mu[0] == pytest.approx(0.03, abs=1e-15)
     assert mu[1] == pytest.approx(0.50304, abs=1e-12)
 
 
 def test_drift_q_limits():
     p = dataclasses.replace(NL_PARAMS, r=0.0)
-    mu = drift_q(1e-14, p)
+    mu = _drift_q(1e-14, p)
     assert mu[1] == pytest.approx(p.b0_q, rel=1e-9)
     assert mu[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -73,7 +79,8 @@ def test_nl_nests_ln():
 @settings(max_examples=80, deadline=None)
 def test_measure_change_identity(v):
     for params, spec in ((LN_PARAMS, LN), (NL_PARAMS, NL)):
-        lhs = drift_q(v, params) + excess_drift_f(v, params, spec)
+        lhs = np.array([params.r - v / 2, params.b0_q + params.b1_q * v])
+        lhs = lhs + excess_drift_f(v, params, spec)
         rhs = drift_p(v, params, spec)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -149,7 +156,9 @@ def test_market_price_solves_linear_system():
         for v in rng.uniform(0.005, 0.4, 25):
             for damp in (False, True):
                 lam = market_price_of_risk(v, params, spec, apply_dampening=damp)
-                sig = diffusion_matrix(v, params)
+                sq = np.sqrt(v)
+                root = np.sqrt(1.0 - params.rho**2)
+                sig = np.array([[root * sq, params.rho * sq], [0.0, params.sigma * v]])
                 target = excess_drift_f(v, params, spec)
                 if damp:
                     target = target * dampening(v, params, spec)
@@ -183,7 +192,7 @@ def test_gamma_fixed_points():
 @given(v=st.floats(1e-8, 1e6), sigma=st.floats(0.05, 10.0))
 @settings(max_examples=120, deadline=None)
 def test_gamma_round_trip(v, sigma):
-    assert gamma_inverse(gamma_transform(v, sigma), sigma) == pytest.approx(v, rel=1e-12)
+    assert np.exp(sigma * gamma_transform(v, sigma)) == pytest.approx(v, rel=1e-12)
 
 
 def test_gamma_rejects_nonpositive():
@@ -278,15 +287,6 @@ def test_iv_to_v_table_anchor():
 def test_iv_to_v_rejects_nonpositive_result():
     with pytest.raises(DomainViolation):
         iv_to_v(1e-6, LN_PARAMS, TENOR)  # below A, maps to negative V
-
-
-def test_param_partition_disjoint():
-    for params, spec in ((LN_PARAMS, LN), (NL_PARAMS, NL)):
-        groups = params.partition(spec)
-        names = [n for g in groups.values() for n in g]
-        assert len(names) == len(set(names))
-        expected = {"LN": 7, "NL": 10}[spec.family.value]
-        assert len(names) == expected
 
 
 def test_param_validation():

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from nlsv.model import gamma_transform
 from nlsv.params import DomainViolation, Measure, ParamVector, State
 from nlsv.rng import RngStream
-from nlsv.simulate import (
-    brownian_bridge_fill,
-    euler_step,
-    modified_bridge_fill,
-    simulate_paths,
-)
+from nlsv.simulate import bridge_path, euler_step, modified_bridge_fill, simulate_paths
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS
 
@@ -139,8 +134,27 @@ def test_euler_weak_convergence_under_refinement():
 # --------------------------------------------------------------- bridges
 
 
+# Unit diffusion: a vanishing vol-of-vol keeps V = exp(sigma*y) at 1, so
+# the modified bridge is the plain Brownian bridge in both coordinates.
+UNIT = ParamVector(sigma=1e-10, rho=0.0, b0_q=0.01, b1_q=0.0)
+
+
+def _unit_fill(u0, u1, aug, delta, seed):
+    """Modified-bridge fill at unit diffusion on N(0, delta) draws from
+    ``RngStream(seed)``."""
+    u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+    shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug - 1, 2)
+    eps = RngStream(seed).generator().standard_normal(shape) * np.sqrt(delta)
+    return modified_bridge_fill(u0, u1, aug, delta, UNIT, eps=eps)
+
+
+def _plain_fill(u0, u1, aug, eps):
+    """Reference: the plain Brownian bridge of each coordinate."""
+    return np.stack([bridge_path(u0[i], u1[i], aug, eps[..., i]) for i in range(2)], axis=-1)
+
+
 def test_bridge_empty_for_single_step():
-    out = brownian_bridge_fill(np.zeros(2), np.ones(2), 1, 0.01, rng=RngStream(1))
+    out = _unit_fill(np.zeros(2), np.ones(2), 1, 0.01, 1)
     assert out.shape == (0, 2)
 
 
@@ -149,7 +163,7 @@ def test_bridge_last_step_deterministic():
     # final coefficient sqrt(0/1) pins the next point at the endpoint;
     # verify by running the recursion one step beyond: coefficient is 0.
     u0, u1 = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-    aux = brownian_bridge_fill(u0, u1, 2, 0.01, rng=RngStream(4))
+    aux = _unit_fill(u0, u1, 2, 0.01, 4)
     # reconstruct the would-be final move: (u1 - aux)/1 + sqrt(0/1)*eps = u1 exactly
     final = aux[-1] + (u1 - aux[-1]) / 1.0
     assert np.array_equal(final, u1)
@@ -160,9 +174,7 @@ def test_bridge_mean_is_linear_interpolant():
     n = 100_000
     aug = 4
     delta = 0.01
-    aux = brownian_bridge_fill(
-        np.broadcast_to(u0, (n, 2)), u1, aug, delta, rng=RngStream(5)
-    )
+    aux = _unit_fill(np.broadcast_to(u0, (n, 2)), u1, aug, delta, 5)
     mid = aux[:, 1, :]  # lattice point at fraction 1/2
     expected = u0 + (u1 - u0) * 2 / 4
     se = mid.std(axis=0, ddof=1) / np.sqrt(n)
@@ -175,7 +187,7 @@ def test_bridge_variance_profile():
     n = 100_000
     aug = 8
     delta = 0.02
-    aux = brownian_bridge_fill(np.broadcast_to(u0, (n, 2)), u1, aug, delta, rng=RngStream(6))
+    aux = _unit_fill(np.broadcast_to(u0, (n, 2)), u1, aug, delta, 6)
     for m in (1, 3, 5, 7):
         s = m / aug
         expected = delta * aug * s * (1 - s)
@@ -185,21 +197,23 @@ def test_bridge_variance_profile():
 
 
 def test_modified_bridge_reduces_to_plain_when_diffusion_is_identity():
-    p = ParamVector(sigma=1e-10, rho=0.0, b0_q=0.01, b1_q=0.0)
     u0, u1 = np.array([0.1, -0.2]), np.array([0.4, 0.3])
     eps = RngStream(8).generator().standard_normal((64, 5, 2)) * 0.1
-    plain = brownian_bridge_fill(u0, u1, 6, 0.01, eps=eps)
-    scaled = modified_bridge_fill(u0, u1, 6, 0.01, p, eps=eps)
+    plain = _plain_fill(u0, u1, 6, eps)
+    scaled = modified_bridge_fill(u0, u1, 6, 0.01, UNIT, eps=eps)
     assert np.allclose(plain, scaled, atol=1e-9)
 
 
 def test_modified_bridge_y_component_matches_plain():
-    # The diffusion matrix's second row is (0, 1): y fills are identical.
+    # The diffusion matrix's second row is (0, 1): the y fill is the plain
+    # bridge of e_y, bitwise, which the y-only fill of the drift solver's
+    # variance system relies on.
     eps = RngStream(9).generator().standard_normal((32, 7, 2)) * 0.05
     u0, u1 = np.array([0.0, -1.4]), np.array([0.05, -1.1])
-    plain = brownian_bridge_fill(u0, u1, 8, 0.005, eps=eps)
-    scaled = modified_bridge_fill(u0, u1, 8, 0.005, LN_PARAMS, eps=eps)
-    assert np.array_equal(plain[..., 1], scaled[..., 1])
+    plain = bridge_path(u0[1], u1[1], 8, eps[..., 1])
+    for params in (LN_PARAMS, NL_PARAMS):
+        scaled = modified_bridge_fill(u0, u1, 8, 0.005, params, eps=eps)
+        assert np.array_equal(plain, scaled[..., 1])
 
 
 def _loop_fill(u0, u1, aug, eps, sigma, rho):
@@ -238,6 +252,5 @@ def test_closed_form_fill_matches_recursion(u0, u1, aug, sigma, rho, seed):
         scaled, _loop_fill(u0, u1, aug, eps, sigma, rho), rtol=1e-12, atol=1e-12
     )
     # y has unit diffusion: its fill ignores sigma and rho entirely.
-    plain = brownian_bridge_fill(u0, u1, aug, delta, eps=eps)
-    assert np.array_equal(plain[..., 1], scaled[..., 1])
+    assert np.array_equal(bridge_path(u0[1], u1[1], aug, eps[..., 1]), scaled[..., 1])
 
