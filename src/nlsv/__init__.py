@@ -20,7 +20,6 @@ from .forecasting import (
 from .likelihood import (
     FitResult,
     LikelihoodConfig,
-    euler_density,
     fit,
     sandwich_errors,
     total_loglik,

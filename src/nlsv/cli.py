@@ -61,8 +61,7 @@ class RunConfig:
     dt_hours: float = 1.0
     horizons: str = "1,5,22,66,131"
     refit_every: int = 1
-    expanding: bool = True
-    window_width: int = 0  # 0 means unused (expanding)
+    window_width: int = 0  # 0 means an expanding window
     # simulation of synthetic data
     n_obs: int = 1000
     start_date: str = "1990-01-02"
@@ -127,8 +126,7 @@ class RunConfig:
             n_paths=self.paths,
             dt=dt,
             refit_every=self.refit_every,
-            expanding=self.expanding,
-            window_width=self.window_width or None,
+            window_width=self.window_width,
         )
 
     def param_vector(self) -> ParamVector:
@@ -220,27 +218,24 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[str]:
     params = config.param_vector()
     spec = ModelSpec(family)
     n = config.n_obs
-    if n > 0:
-        steps_per_day = _HOURS_PER_DAY
-        dt = 1.0 / (DAYS_PER_YEAR * steps_per_day)
-        ens = simulate_paths(
-            State(config.x0, config.v0),
-            params,
-            spec,
-            Measure.P,
-            dt,
-            (n - 1) * steps_per_day if n > 1 else steps_per_day,
-            1,
-            RngStream(config.seed),
-            record_every=steps_per_day,
-        )
-        x = ens.x[0][:n]
-        v = ens.v[0][:n]
-        iv = v_to_iv(v, params)
-        series = ObservedSeries(_trading_dates(config.start_date, n), x, iv)
-        data_io.write_series_csv(series, out_dir / "series.csv", vxo_unit=config.vxo_unit)
-    else:
-        (out_dir / "series.csv").write_text("date,price,vxo\n")
+    steps_per_day = _HOURS_PER_DAY
+    dt = 1.0 / (DAYS_PER_YEAR * steps_per_day)
+    ens = simulate_paths(
+        State(config.x0, config.v0),
+        params,
+        spec,
+        Measure.P,
+        dt,
+        max(n - 1, 0) * steps_per_day,
+        1,
+        RngStream(config.seed),
+        record_every=steps_per_day,
+    )
+    x = ens.x[0][:n]
+    v = ens.v[0][:n]
+    iv = v_to_iv(v, params)
+    series = ObservedSeries(_trading_dates(config.start_date, n), x, iv)
+    data_io.write_series_csv(series, out_dir / "series.csv", vxo_unit=config.vxo_unit)
     return ["series.csv"]
 
 
@@ -263,10 +258,9 @@ def cmd_estimate(config: RunConfig, out_dir: Path) -> list[str]:
 
 
 def _parameter_table(results: dict[str, FitResult]) -> str:
-    order = ["sigma", "rho", "b0_q", "b1_q", "a0", "a1", "b0", "b1", "b2", "b3"]
     models = list(results)
     lines = ["parameter" + "".join(f"{m:>16s}" for m in models)]
-    for name in order:
+    for name in ModelSpec(Family.NL).param_names:
         if not any(name in results[m].std_errors for m in models):
             continue
         row = f"{name:<9s}"
@@ -340,7 +334,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list
 
 
 def cmd_rolling(config: RunConfig, out_dir: Path) -> list[str]:
-    """Full protocol: in-sample fit + expanding-window out-of-sample refits."""
+    """Full protocol: in-sample fit + out-of-sample refits."""
     series = _load_series(config)
     specs = [ModelSpec(f) for f in config.families()]
     report, param_paths, fits = rolling_evaluation(

@@ -142,6 +142,8 @@ def split(series: ObservedSeries, split_date) -> SampleSplit:
         split_date = np.datetime64(split_date, "D")
     except ValueError:
         raise DataError(f"split_date: not a date, got {split_date!r}") from None
+    if len(series) == 0:
+        raise DataError("cannot split a series with no observations")
     if not (series.dates[0] <= split_date <= series.dates[-1]):
         raise DataError(
             f"split date {split_date} outside series range "

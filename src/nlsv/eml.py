@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import variance_drift_over_v
-from .params import DomainViolation, Family, ModelSpec, ParamVector
+from .params import STOCK, DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
 from .simulate import bridge_path, modified_bridge_fill
 
@@ -126,7 +126,7 @@ def variance_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
         return BasisTable(
             functions=(f_inv_v, f_const, f_v, f_inv_v2),
             offset=g_nl,
-            coeff_names=("b0", "b1", "b2", "b3"),
+            coeff_names=spec.variance_names,
         )
     if spec.family is Family.LN:
         b0_q = params.b0_q
@@ -139,7 +139,7 @@ def variance_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
                 - b0_q * delta / (sigma * np.exp(sigma * np.asarray(y0)))
             )
 
-        return BasisTable(functions=(f_const,), offset=g_ln, coeff_names=("b1",))
+        return BasisTable(functions=(f_const,), offset=g_ln, coeff_names=spec.variance_names)
     raise DomainViolation("RW has no variance drift to estimate")
 
 
@@ -191,7 +191,7 @@ def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
         eps_v /= sq
         return eps_v
 
-    return BasisTable(functions=(f0, f1), offset=g_x, coeff_names=("a0", "a1"))
+    return BasisTable(functions=(f0, f1), offset=g_x, coeff_names=STOCK)
 
 
 def chunk_intervals(n_draws: int, aug_steps: int) -> int:
@@ -260,7 +260,7 @@ def assemble_system(
             x = _lattice(x_obs, block, n_bridges, aug_steps)
             u0 = np.stack([x_obs[block], y_obs[block]], axis=-1)[:, None]   # (B, 1, 2)
             u1 = np.stack([x_obs[block + 1], y_obs[block + 1]], axis=-1)[:, None]
-            aux = modified_bridge_fill(u0, u1, aug_steps, delta, params, eps=eps_blk)
+            aux = modified_bridge_fill(u0, u1, aug_steps, params, eps=eps_blk)
             x[..., 1:-1] = aux[..., 0]
             y[..., 1:-1] = aux[..., 1]
             x0, x1 = x[..., :-1], x[..., 1:]
@@ -305,7 +305,7 @@ def draw_bridge_eps(
     partitioning of intervals across workers sees identical draws.
     """
     interval_indices = np.asarray(interval_indices, dtype=int)
-    out = np.empty((len(interval_indices), n_draws, max(aug_steps - 1, 0), 2))
+    out = np.empty((len(interval_indices), n_draws, aug_steps - 1, 2))
     scale = np.sqrt(delta)
     for j, n in enumerate(interval_indices):
         out[j] = rng.substream(int(n)).generator().standard_normal(

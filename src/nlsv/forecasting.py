@@ -47,7 +47,7 @@ from .model import (
     market_price_of_risk,
     swap_coefficients,
 )
-from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector
+from .params import OUTER, DomainViolation, Family, Measure, ModelSpec, ParamVector
 from .rng import RngStream
 from .simulate import y_step
 
@@ -89,12 +89,13 @@ class EvalConfig:
     n_paths: int = 20000
     dt: float = 1.0 / (262 * 8)  # hourly steps, 8 trading hours per day
     refit_every: int = 1
-    expanding: bool = True
-    window_width: int | None = None
+    window_width: int = 0  # observations per refit window; 0 = expanding
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise DomainViolation("n_paths must be >= 1")
+        if self.window_width < 0:
+            raise DomainViolation("window_width must be >= 0")
         _steps_per_day(self.dt)
 
 
@@ -524,9 +525,10 @@ def rolling_evaluation(
 
     Fits each model once on the in-sample window and produces in-sample
     forecasts at every feasible origin; then walks the out-of-sample dates
-    re-estimating on the expanding window (anchored start; a fixed-width
-    window is available via ``eval_config.window_width``) every
-    ``refit_every`` dates, warm-starting from the previous estimates.
+    re-estimating every ``refit_every`` dates on the window that ends at
+    the date: the last ``eval_config.window_width`` observations, or all
+    of them when that is 0 (an expanding window with anchored start),
+    warm-starting from the previous estimates.
     Returns the report, the per-date parameter paths, and the in-sample
     fits.  A refit that raises DomainViolation (too few observations, no
     feasible parameter point, or a likelihood that is not finite near the
@@ -554,13 +556,10 @@ def rolling_evaluation(
 
     def out_models(origin: int) -> Models:
         if (origin - n_in) % eval_config.refit_every == 0:
-            lo = 0 if eval_config.expanding else max(0, origin + 1 - (eval_config.window_width or origin + 1))
-            window = series.window(lo, origin + 1)
+            width = eval_config.window_width or origin + 1
+            window = series.window(max(0, origin + 1 - width), origin + 1)
             for name, spec in diffusive.items():
-                warm = {
-                    k: getattr(current_params[name], k)
-                    for k in ("sigma", "rho", "b0_q", "b1_q")
-                }
+                warm = {k: getattr(current_params[name], k) for k in OUTER}
                 entry = {"date": str(series.dates[origin]), "model": name}
                 try:
                     res = fit(window, spec, lik_config, init=warm)

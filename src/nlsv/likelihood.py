@@ -32,13 +32,12 @@ from scipy.optimize import minimize
 from . import eml
 from .model import (
     SWAP_TENOR_YEARS,
-    _check_variance,
     gamma_transform,
     iv_to_v,
     swap_coefficients,
     variance_drift_over_v,
 )
-from .params import DomainViolation, Family, ModelSpec, ParamVector
+from .params import OUTER, DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
 
 #: Top-level stream ids reserved by the estimation pipeline.
@@ -106,7 +105,7 @@ class FitResult:
         return {
             "kind": "fit_result",
             "family": self.spec.family.value,
-            "params": {k: getattr(self.params, k) for k in _full_param_names(self.spec) + ("r", "c")},
+            "params": {k: getattr(self.params, k) for k in self.spec.param_names + ("r", "c")},
             "loglik": self.loglik,
             "param_names": list(self.param_names),
             "covariance": [[float(v) for v in row] for row in self.covariance],
@@ -135,14 +134,6 @@ class FitResult:
         )
 
 
-def _full_param_names(spec: ModelSpec) -> tuple[str, ...]:
-    if spec.family is Family.LN:
-        return ("sigma", "rho", "b0_q", "b1_q", "a0", "a1", "b1")
-    if spec.family is Family.NL:
-        return ("sigma", "rho", "b0_q", "b1_q", "a0", "a1", "b0", "b1", "b2", "b3")
-    raise DomainViolation("RW has no estimated parameters")
-
-
 def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
     """Quadratic form r' (delta Sigma Sigma')^{-1} r of an Euler increment
     (dx, dy) departing from a state with s = exp(sigma*y/2), so V = s^2.
@@ -166,40 +157,20 @@ def _euler_log_norm(params: ParamVector, delta: float) -> float:
     return -math.log(2.0 * math.pi * delta) - 0.5 * math.log(1.0 - params.rho**2)
 
 
-def euler_density(u_next, u_curr, params: ParamVector, spec: ModelSpec, delta: float) -> np.ndarray:
-    """Log-density of one Euler step in (x, y) coordinates.
-
-    The increment has mean (price drift, y drift) * delta and covariance
-    delta * Sigma Sigma' evaluated at the departing state; broadcasting
-    over leading dimensions is supported.
-    """
-    if not delta > 0.0:
-        raise DomainViolation("delta must be > 0")
-    if spec.family is Family.RW:
-        raise DomainViolation("RW has no drift model")
-    u_next = np.asarray(u_next, dtype=float)
-    u_curr = np.asarray(u_curr, dtype=float)
-    y0 = u_curr[..., 1]
-    s = np.exp(0.5 * params.sigma * y0)
-    _check_variance(s * s)
-    dx, dy = u_next[..., 0] - u_curr[..., 0], u_next[..., 1] - y0
-    quad = _euler_quad(dx, dy, s, params, spec, delta)
-    return _euler_log_norm(params, delta) - 0.5 * params.sigma * y0 - 0.5 * quad
-
-
 def _sml_batch(
     u_from: np.ndarray,
     u_to: np.ndarray,
     params: ParamVector,
     spec: ModelSpec,
     config: LikelihoodConfig,
-    eps: np.ndarray | None,
+    eps: np.ndarray,
 ) -> np.ndarray:
     """Log importance weights of the simulated transition density, (..., S).
 
-    ``u_from`` and ``u_to`` have shape (..., 2); ``eps`` must be
-    N(0, delta) draws e_m of shape (..., S, M-1, 2) when M > 1.  With
-    M = 1 the single weight is the Euler density.
+    ``u_from`` and ``u_to`` have shape (..., 2); ``eps`` holds the
+    N(0, delta) draws e_m, shape (..., S, M-1, 2).  With M = 1 it is
+    empty, no lattice step is taken and every weight is the Euler density
+    of the whole interval.
 
     Each draw follows the modified bridge from ``u_from`` to ``u_to``, so
     the residual of lattice step m about the proposal mean is exactly
@@ -217,9 +188,6 @@ def _sml_batch(
     """
     m_total = config.aug_steps
     delta = config.delta_obs / m_total
-    if m_total == 1:
-        return euler_density(u_to, u_from, params, spec, delta)[..., None]
-
     sigma, rho = params.sigma, params.rho
     root = math.sqrt(1.0 - rho**2)
     x, y = u_from[..., 0, None], u_from[..., 1, None]
@@ -311,7 +279,8 @@ def total_loglik(
     Intervals are evaluated ``eml.chunk_intervals(mc_draws, aug_steps)``
     at a time, so memory is bounded by ``eml.CHUNK_POINTS`` lattice
     points; without a pre-drawn ``eps`` the innovations are drawn chunk by
-    chunk too.
+    chunk too.  At M = 1 there are none, and each interval's density is
+    the Euler density of its one step.
     """
     try:
         x, y = series_to_lattice_coords(series, params, config.swap_tenor)
@@ -328,9 +297,7 @@ def total_loglik(
     logp = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        if config.aug_steps == 1:
-            eps_blk = None
-        elif eps is not None:
+        if eps is not None:
             eps_blk = eps[lo:hi]
         else:
             eps_blk = eml.draw_bridge_eps(
@@ -356,47 +323,30 @@ def total_loglik(
 # Parameter transforms for the outer search and the sandwich
 # ----------------------------------------------------------------------
 
-_LOG_PARAMS = ("sigma", "b0_q")
-_ATANH_PARAMS = ("rho",)
+#: (to unconstrained, from unconstrained, d natural / d unconstrained) of
+#: each bounded parameter: sigma and b0_q are positive, |rho| < 1.  Every
+#: other parameter is its own unconstrained value.
+_TRANSFORMS = {
+    "sigma": (math.log, math.exp, lambda value: value),
+    "b0_q": (math.log, math.exp, lambda value: value),
+    "rho": (math.atanh, math.tanh, lambda value: 1.0 - value**2),
+}
+_IDENTITY = (float, float, lambda value: 1.0)
 
 
 def to_unconstrained(params: ParamVector, names: Sequence[str]) -> np.ndarray:
-    out = []
-    for name in names:
-        value = getattr(params, name)
-        if name in _LOG_PARAMS:
-            out.append(math.log(value))
-        elif name in _ATANH_PARAMS:
-            out.append(math.atanh(value))
-        else:
-            out.append(value)
-    return np.array(out)
+    return np.array([_TRANSFORMS.get(k, _IDENTITY)[0](getattr(params, k)) for k in names])
 
 
 def from_unconstrained(vec: np.ndarray, names: Sequence[str], template: ParamVector) -> ParamVector:
-    updates = {}
-    for name, value in zip(names, vec):
-        if name in _LOG_PARAMS:
-            updates[name] = math.exp(value)
-        elif name in _ATANH_PARAMS:
-            updates[name] = math.tanh(value)
-        else:
-            updates[name] = float(value)
-    return replace(template, **updates)
+    return replace(
+        template, **{k: _TRANSFORMS.get(k, _IDENTITY)[1](value) for k, value in zip(names, vec)}
+    )
 
 
 def _transform_jacobian(params: ParamVector, names: Sequence[str]) -> np.ndarray:
     """Diagonal of d(natural)/d(unconstrained) at ``params``."""
-    diag = []
-    for name in names:
-        value = getattr(params, name)
-        if name in _LOG_PARAMS:
-            diag.append(value)
-        elif name in _ATANH_PARAMS:
-            diag.append(1.0 - value**2)
-        else:
-            diag.append(1.0)
-    return np.array(diag)
+    return np.array([_TRANSFORMS.get(k, _IDENTITY)[2](getattr(params, k)) for k in names])
 
 
 def moment_init(series, config: LikelihoodConfig) -> dict[str, float]:
@@ -429,10 +379,9 @@ def _profile_params(
 ) -> ParamVector | None:
     """Trial parameter vector with closed-form drift coefficients, or None
     when the trial point is infeasible."""
-    outer_names = ("sigma", "rho", "b0_q", "b1_q")
     if np.any(np.abs(eta) > 50.0):
         return None
-    trial = from_unconstrained(eta, outer_names, base)
+    trial = from_unconstrained(eta, OUTER, base)
     try:
         x, y = series_to_lattice_coords(series, trial, config.swap_tenor)
         vp = eml.solve_variance_drift(
@@ -455,11 +404,11 @@ _EPS_CACHE_LIMIT = 1_000_000_000
 
 
 def _cached_eps(rng: RngStream, indices: np.ndarray, n_draws: int, config: LikelihoodConfig):
-    """All innovations of the given intervals, or None when there are
-    none (M = 1) or they would exceed ``_EPS_CACHE_LIMIT`` bytes; callers
-    then draw chunk by chunk."""
+    """All innovations of the given intervals, empty at M = 1, or None
+    when they would exceed ``_EPS_CACHE_LIMIT`` bytes; callers then draw
+    chunk by chunk."""
     n_bytes = len(indices) * n_draws * (config.aug_steps - 1) * 2 * 8
-    if config.aug_steps == 1 or n_bytes > _EPS_CACHE_LIMIT:
+    if n_bytes > _EPS_CACHE_LIMIT:
         return None
     return eml.draw_bridge_eps(
         rng, indices, n_draws, config.aug_steps, config.delta_obs / config.aug_steps
@@ -502,10 +451,7 @@ def fit(
     start = moment_init(series, config)
     if init:
         start.update(init)
-    outer_names = ("sigma", "rho", "b0_q", "b1_q")
-    eta0 = to_unconstrained(
-        replace(base, **{k: start[k] for k in outer_names}), outer_names
-    )
+    eta0 = to_unconstrained(replace(base, **{k: start[k] for k in OUTER}), OUTER)
 
     eml_eps, sml_eps = _maybe_cache_eps(series, config, rng_eml, rng_sml)
     evaluations = 0
@@ -526,7 +472,7 @@ def fit(
     n_iterations = 0
     converged = False
     for restart in range(max(1, config.restarts)):
-        eta_start = eta0 if restart == 0 else eta0 + 0.1 * jitter_gen.standard_normal(4)
+        eta_start = eta0 if restart == 0 else eta0 + 0.1 * jitter_gen.standard_normal(len(OUTER))
         result = minimize(
             objective,
             eta_start,
@@ -545,13 +491,13 @@ def fit(
     if best is None or best.fun >= _PENALTY:
         raise DomainViolation("optimizer never found a feasible parameter point")
 
+    # The objective is deterministic: its best value is -loglik at theta_star.
     theta_star = _profile_params(best.x, series, spec, config, base, rng_eml, eml_eps)
-    loglik = total_loglik(series, theta_star, spec, config, rng_sml, eps=sml_eps)
     names, cov, se = sandwich_errors(series, theta_star, spec, config, sml_eps=sml_eps)
     return FitResult(
         params=theta_star,
         spec=spec,
-        loglik=float(loglik),
+        loglik=float(-best.fun),
         param_names=names,
         covariance=cov,
         std_errors=dict(zip(names, se)),
@@ -562,24 +508,27 @@ def fit(
     )
 
 
+#: Relative finite-difference steps of the sandwich's scores and Hessian.
+_SCORE_STEP = 1e-5
+_HESSIAN_STEP = 1e-3
+
+
 def sandwich_errors(
     series,
     theta_star: ParamVector,
     spec: ModelSpec,
     config: LikelihoodConfig,
-    score_step: float = 1e-5,
-    hessian_step: float = 1e-3,
     sml_eps: np.ndarray | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Huber sandwich covariance H^{-1} OPG H^{-1} / N for the full vector.
 
     Scores are per-observation central differences with relative step
-    ``score_step`` in the unconstrained parameterization; the Hessian uses
-    the 4-point cross scheme at the larger ``hessian_step``.  The result
-    is mapped back to natural parameter units, and the returned standard
-    errors are the square roots of its diagonal.
+    ``_SCORE_STEP`` in the unconstrained parameterization; the Hessian
+    uses the 4-point cross scheme at the larger ``_HESSIAN_STEP``.  The
+    result is mapped back to natural parameter units, and the returned
+    standard errors are the square roots of its diagonal.
     """
-    names = _full_param_names(spec)
+    names = spec.param_names
     rng_sml = RngStream(config.seed, STREAM_SML)
     eta0 = to_unconstrained(theta_star, names)
     p = len(names)
@@ -596,7 +545,7 @@ def sandwich_errors(
             raise DomainViolation("likelihood not finite near the optimum")
         return contrib
 
-    steps_s = score_step * np.maximum(1.0, np.abs(eta0))
+    steps_s = _SCORE_STEP * np.maximum(1.0, np.abs(eta0))
     scores = np.empty((n_obs, p))
     for j in range(p):
         e = np.zeros(p)
@@ -604,7 +553,7 @@ def sandwich_errors(
         scores[:, j] = (contributions(eta0 + e) - contributions(eta0 - e)) / (2.0 * steps_s[j])
     opg = scores.T @ scores / n_obs
 
-    steps_h = hessian_step * np.maximum(1.0, np.abs(eta0))
+    steps_h = _HESSIAN_STEP * np.maximum(1.0, np.abs(eta0))
     hess = np.empty((p, p))
     l0 = float(contributions(eta0).sum())
 

@@ -45,11 +45,33 @@ class DomainViolation(ValueError):
     """Input lies outside the model's state or parameter domain."""
 
 
+#: The layout of an estimated parameter vector: the parameters of the
+#: outer search, then the price drift coefficients, then the family's free
+#: variance drift coefficients (``ModelSpec.variance_names``).
+OUTER = ("sigma", "rho", "b0_q", "b1_q")
+STOCK = ("a0", "a1")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Model family of one estimated or forecast model."""
 
     family: Family
+
+    @property
+    def variance_names(self) -> tuple[str, ...]:
+        """Free variance drift coefficients: for LN only b1, because its
+        intercept is b0_q; for NL all four."""
+        if self.family is Family.LN:
+            return ("b1",)
+        if self.family is Family.NL:
+            return ("b0", "b1", "b2", "b3")
+        raise DomainViolation("RW has no variance drift")
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """Every estimated parameter, in the order of fits and their errors."""
+        return OUTER + STOCK + self.variance_names
 
 
 @dataclass(frozen=True)
@@ -91,18 +113,9 @@ class ParamVector:
         return self
 
     def with_variance_coeffs(self, spec: ModelSpec, coeffs) -> "ParamVector":
-        """Return a copy with the free variance drift coefficients replaced.
-
-        For LN only b1 is free (the intercept is pinned to b0_q); for NL
-        all four coefficients are free.
-        """
-        if spec.family is Family.LN:
-            (b1,) = coeffs
-            return replace(self, b1=float(b1))
-        if spec.family is Family.NL:
-            b0, b1, b2, b3 = coeffs
-            return replace(self, b0=float(b0), b1=float(b1), b2=float(b2), b3=float(b3))
-        raise DomainViolation("RW has no variance drift")
+        """Return a copy with the free variance drift coefficients
+        ``spec.variance_names`` replaced, in that order."""
+        return replace(self, **dict(zip(spec.variance_names, map(float, coeffs), strict=True)))
 
     def with_stock_coeffs(self, a0: float, a1: float) -> "ParamVector":
         return replace(self, a0=float(a0), a1=float(a1))

@@ -146,16 +146,15 @@ def modified_bridge_fill(
     u0,
     u1,
     aug_steps: int,
-    delta: float,
     params: ParamVector,
     eps: np.ndarray,
 ) -> np.ndarray:
     """Bridge draw with noise premultiplied by the local diffusion matrix.
 
     ``u0`` and ``u1`` are (..., 2) endpoint arrays that broadcast against
-    the N(0, delta) innovations ``eps`` of shape (..., M-1, 2).  The result
-    has shape (..., M-1, 2), empty for aug_steps == 1, and the recursion's
-    final step lands exactly on ``u1``.
+    the innovations ``eps`` of shape (..., M-1, 2), N(0, delta) at lattice
+    step delta.  The result has shape (..., M-1, 2), empty at M = 1, and
+    the recursion's final step lands exactly on ``u1``.
 
     In (x, y) coordinates the diffusion matrix rows are
     (sqrt(1-rho^2)*exp(sigma*y/2), rho*exp(sigma*y/2)) and (0, 1), so the
@@ -169,8 +168,6 @@ def modified_bridge_fill(
         raise DomainViolation("aug_steps must be >= 1")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    if aug_steps == 1:
-        return np.empty(eps.shape[:-2] + (0, 2))
     y = bridge_path(u0[..., 1], u1[..., 1], aug_steps, eps[..., 1])
     y_from = np.concatenate(
         [np.broadcast_to(u0[..., 1, None], y.shape[:-1] + (1,)), y[..., :-1]], axis=-1

@@ -233,6 +233,18 @@ def test_dt_not_dividing_a_day_nonzero_exit(estimate_dir, sim_dir, tmp_path, cap
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["forecast", "rolling"])
+def test_header_only_csv_nonzero_exit(estimate_dir, tmp_path, capsys, command):
+    tmp, cfg, est = estimate_dir
+    empty = tmp_path / "empty.csv"
+    empty.write_text("date,price,vxo\n")
+    argv = [command, "--config", str(cfg), "--input", str(empty), "--out", str(tmp_path / "o")]
+    if command == "forecast":
+        argv += ["--fit", str(est / "fit_NL.json")]
+    assert main(argv) == 1
+    assert "no observations" in capsys.readouterr().err
+
+
 def test_forecast_and_report(estimate_dir, sim_dir, tmp_path):
     tmp, cfg, est = estimate_dir
     fc = tmp_path / "fc"

@@ -1,9 +1,14 @@
-"""Guard against code that the package itself never calls.
+"""Guard against code that the package itself never calls or reads.
 
 A module-level function or class, or a method other than a dunder, that
 no module of ``nlsv`` references by name or attribute (``__init__.py``'s
 re-exports do not count) is reachable only from tests: delete it, or
 allow it below with the reason it stays.
+
+A parameter of a module-level function or method that its body never
+reads is a setting with no effect: delete it.  Nested functions and
+lambdas are exempt, because the basis closures implement the
+``BasisTable`` (x, y) interface whether or not they use both.
 """
 
 import ast
@@ -49,3 +54,37 @@ def test_every_definition_is_referenced_in_the_package():
         if name not in referenced and qualified not in ALLOWED
     ]
     assert unreferenced == []
+
+
+def _unread_parameters(stem: str, tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node, f"{stem}.{node.name}")]
+        elif isinstance(node, ast.ClassDef):
+            functions = [
+                (item, f"{stem}.{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+        else:
+            continue
+        for func, qualified in functions:
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for name in params:
+                if name not in read and name not in ("self", "cls"):
+                    yield f"{qualified}.{name}"
+
+
+def test_every_parameter_is_read():
+    unread = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in _unread_parameters(path.stem, ast.parse(path.read_text()))
+    ]
+    assert unread == []

@@ -327,7 +327,9 @@ def _quick_eval_config(**kw):
     return EvalConfig(**base)
 
 
-@pytest.mark.parametrize("kw", [dict(n_paths=0), dict(dt=3 / (262 * 8)), dict(dt=0.0)])
+@pytest.mark.parametrize(
+    "kw", [dict(n_paths=0), dict(dt=3 / (262 * 8)), dict(dt=0.0), dict(window_width=-1)]
+)
 def test_eval_config_rejects_bad_settings(kw):
     with pytest.raises(DomainViolation):
         _quick_eval_config(**kw)
@@ -369,6 +371,28 @@ def test_rolling_bookkeeping_and_determinism():
     # every record has matched forecast/realized/current lengths
     for c in r1.cells.values():
         assert len(c["origin"]) == len(c["forecast"]) == len(c["realized"]) == len(c["current"])
+
+
+def test_rolling_window_width_sets_the_refit_window(monkeypatch):
+    # window_width = W alone refits on the W observations that end at each
+    # refit date (origins 90 and 110 at refit_every = 20).
+    real_fit = forecasting.fit
+    windows = []
+
+    def spy(series, *args, **kw):
+        windows.append((series.dates[0], len(series)))
+        return real_fit(series, *args, **kw)
+
+    monkeypatch.setattr(forecasting, "fit", spy)
+    series = make_series(LN_PARAMS, LN, 120, 19, v0=0.033)
+    init = {"LN": {"sigma": 2.2, "rho": -0.68, "b0_q": 0.058, "b1_q": 11.0}}
+    rolling_evaluation(
+        series, series.dates[89], [LN], _quick_lik_config(),
+        _quick_eval_config(window_width=60), init=init,
+    )
+    assert windows == [
+        (series.dates[0], 90), (series.dates[31], 60), (series.dates[51], 60)
+    ]
 
 
 @pytest.mark.parametrize(

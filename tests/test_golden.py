@@ -5,8 +5,11 @@ moves a number by more than rounding fails here, with the same relative
 tolerance as the benchmark checksum.
 
 Short LN and NL fits on a fixed 300-day series pin the search path and
-the sandwich: a change that moves the optimizer's trial points shows in
-the evaluation count, the optimum or the standard errors."""
+the sandwich, and with them the arithmetic bit for bit: the standard
+errors are finite differences of the log-likelihood at relative steps
+down to 1e-5, so a change that only reorders sums, moving log-likelihoods
+by 1e-12, moves them by up to about 1e-5 relative, far outside their 1e-9
+tolerance.  Such a change re-records them and states why."""
 
 import pytest
 

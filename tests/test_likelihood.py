@@ -13,10 +13,11 @@ from scipy.special import logsumexp
 from nlsv import eml
 from nlsv.likelihood import (
     LikelihoodConfig,
+    _euler_log_norm,
+    _euler_quad,
     _log_mean_weight,
     _rel_se,
     _sml_batch,
-    euler_density,
     fit,
     moment_init,
     sandwich_errors,
@@ -48,7 +49,7 @@ def _sml_logw(u_from, u_to, params, spec, cfg, rng, eps=None):
     of shape (..., S, M-1, 2)."""
     u_from = np.asarray(u_from, dtype=float)
     u_to = np.asarray(u_to, dtype=float)
-    if eps is None and cfg.aug_steps > 1:
+    if eps is None:
         shape = (
             np.broadcast_shapes(u_from.shape, u_to.shape)[:-1]
             + (cfg.mc_draws, cfg.aug_steps - 1, 2)
@@ -97,6 +98,22 @@ def proposal_density_q(u_next, u_curr, u_end, params, m: int, aug_steps: int, de
 
 
 # -------------------------------------------------------- euler density
+
+
+def euler_density(u_next, u_curr, params, spec, delta):
+    """Reference: log-density of one Euler step in (x, y) coordinates.
+
+    The increment has mean (price drift, y drift) * delta and covariance
+    delta * Sigma Sigma' evaluated at the departing state; broadcasting
+    over leading dimensions is supported.
+    """
+    u_next = np.asarray(u_next, dtype=float)
+    u_curr = np.asarray(u_curr, dtype=float)
+    y0 = u_curr[..., 1]
+    s = np.exp(0.5 * params.sigma * y0)
+    dx, dy = u_next[..., 0] - u_curr[..., 0], u_next[..., 1] - y0
+    quad = _euler_quad(dx, dy, s, params, spec, delta)
+    return _euler_log_norm(params, delta) - 0.5 * params.sigma * y0 - 0.5 * quad
 
 
 def test_euler_density_at_mode():
@@ -161,7 +178,7 @@ def test_proposal_scores_bridge_draws_finite():
     u1 = np.array([0.02, -1.2])
     n = 10_000
     eps = RngStream(31).generator().standard_normal((n, aug - 1, 2)) * math.sqrt(delta)
-    aux = modified_bridge_fill(np.broadcast_to(u0, (n, 2)), u1, aug, delta, p, eps=eps)
+    aux = modified_bridge_fill(np.broadcast_to(u0, (n, 2)), u1, aug, p, eps=eps)
     prev = np.broadcast_to(u0, (n, 2))
     for m in range(aug - 1):
         ld = proposal_density_q(aux[:, m, :], prev, u1, p, m, aug, delta)
@@ -289,7 +306,7 @@ def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
     u1 = np.array([0.01, gamma_transform(0.040, params.sigma)])
     eps = RngStream(41).generator().standard_normal((1, aug - 1, 2)) * math.sqrt(delta)
     ld = _sml_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=eps)
-    aux = modified_bridge_fill(u0, u1, aug, delta, params, eps=eps[0])
+    aux = modified_bridge_fill(u0, u1, aug, params, eps=eps[0])
     points = np.concatenate([u0[None], aux, u1[None]])
     explicit = sum(
         float(euler_density(points[m + 1], points[m], params, spec, delta))

@@ -145,7 +145,7 @@ def _unit_fill(u0, u1, aug, delta, seed):
     u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
     shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug - 1, 2)
     eps = RngStream(seed).generator().standard_normal(shape) * np.sqrt(delta)
-    return modified_bridge_fill(u0, u1, aug, delta, UNIT, eps=eps)
+    return modified_bridge_fill(u0, u1, aug, UNIT, eps=eps)
 
 
 def _plain_fill(u0, u1, aug, eps):
@@ -200,7 +200,7 @@ def test_modified_bridge_reduces_to_plain_when_diffusion_is_identity():
     u0, u1 = np.array([0.1, -0.2]), np.array([0.4, 0.3])
     eps = RngStream(8).generator().standard_normal((64, 5, 2)) * 0.1
     plain = _plain_fill(u0, u1, 6, eps)
-    scaled = modified_bridge_fill(u0, u1, 6, 0.01, UNIT, eps=eps)
+    scaled = modified_bridge_fill(u0, u1, 6, UNIT, eps=eps)
     assert np.allclose(plain, scaled, atol=1e-9)
 
 
@@ -212,7 +212,7 @@ def test_modified_bridge_y_component_matches_plain():
     u0, u1 = np.array([0.0, -1.4]), np.array([0.05, -1.1])
     plain = bridge_path(u0[1], u1[1], 8, eps[..., 1])
     for params in (LN_PARAMS, NL_PARAMS):
-        scaled = modified_bridge_fill(u0, u1, 8, 0.005, params, eps=eps)
+        scaled = modified_bridge_fill(u0, u1, 8, params, eps=eps)
         assert np.array_equal(plain, scaled[..., 1])
 
 
@@ -246,7 +246,7 @@ def test_closed_form_fill_matches_recursion(u0, u1, aug, sigma, rho, seed):
     u0, u1 = np.array(u0), np.array(u1)
     delta = 1 / (262 * aug)
     eps = np.random.default_rng(seed).standard_normal((aug - 1, 2)) * np.sqrt(delta)
-    scaled = modified_bridge_fill(u0, u1, aug, delta, p, eps=eps)
+    scaled = modified_bridge_fill(u0, u1, aug, p, eps=eps)
     assert scaled.shape == (aug - 1, 2)
     np.testing.assert_allclose(
         scaled, _loop_fill(u0, u1, aug, eps, sigma, rho), rtol=1e-12, atol=1e-12
