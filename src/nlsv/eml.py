@@ -12,6 +12,11 @@ moment vector accumulate conditional expectations of basis products over
 the unobserved lattice points, approximated by averaging over
 Brownian-bridge fills of each observation interval.
 
+Each solver writes its regression once: for a chunk of intervals it fills
+the lattice, takes one exp per lattice point and returns the basis values
+f_l and offsets g as arrays, which :func:`assemble_system` reduces to the
+normal equations.
+
 The limited-information ordering estimates the variance drift first (its
 equation does not involve the price), then the price drift conditional on
 the variance residuals, which enter the price equation's offset through
@@ -26,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import variance_drift_over_v
-from .params import STOCK, DomainViolation, Family, ModelSpec, ParamVector
+from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
 from .simulate import bridge_path, modified_bridge_fill
 
@@ -51,24 +56,6 @@ class IllConditionedSystem(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class BasisTable:
-    """Basis functions and offset for one regression equation.
-
-    ``functions[l]`` maps lattice coordinates (x, y) to the l-th basis
-    value; ``offset`` maps (x1, y1, x0, y0, delta) to the rescaled
-    increment g.  All callables must broadcast over arrays.
-    """
-
-    functions: tuple[Callable, ...]
-    offset: Callable
-    coeff_names: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.functions)
-
-
 @dataclass
 class LinearSystem:
     """Accumulated normal equations: symmetric Gram matrix and moment vector."""
@@ -85,113 +72,31 @@ class LinearSystem:
         scale = 1.0 / np.sqrt(diag)
         return self.gram * np.outer(scale, scale), scale
 
-    def solve(self, cond_threshold: float = COND_THRESHOLD) -> np.ndarray:
+    def solve(self) -> np.ndarray:
         scaled, scale = self._equilibrated()
         cond = float(np.linalg.cond(scaled))
-        if not np.isfinite(cond) or cond > cond_threshold:
+        if not np.isfinite(cond) or cond > COND_THRESHOLD:
             raise IllConditionedSystem(cond)
         z = np.linalg.solve(scaled, scale * self.moment)
         return scale * z
 
 
-def variance_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
-    """Basis and offset of the variance (y) equation for one family.
-
-    NL uses the four functions 1/(sigma V), 1/sigma, V/sigma and
-    1/(sigma V^2) with free coefficients (b0, b1, b2, b3) and offset
-    g = y1 - y0 + sigma*delta/2.  For LN the intercept coefficient equals
-    b0_q, which is known at this stage, so its state-dependent term
-    b0_q*delta/(sigma V) is absorbed into the offset and only b1 (basis
-    1/sigma) is estimated.
-    """
-    sigma = params.sigma
-
-    def f_inv_v(x, y):
-        return 1.0 / (sigma * np.exp(sigma * np.asarray(y)))
-
-    def f_const(x, y):
-        return np.full(np.shape(y), 1.0 / sigma)
-
-    def f_v(x, y):
-        return np.exp(sigma * np.asarray(y)) / sigma
-
-    def f_inv_v2(x, y):
-        return 1.0 / (sigma * np.exp(2.0 * sigma * np.asarray(y)))
-
-    if spec.family is Family.NL:
-
-        def g_nl(x1, y1, x0, y0, delta):
-            return np.asarray(y1) - np.asarray(y0) + 0.5 * sigma * delta
-
-        return BasisTable(
-            functions=(f_inv_v, f_const, f_v, f_inv_v2),
-            offset=g_nl,
-            coeff_names=spec.variance_names,
-        )
-    if spec.family is Family.LN:
-        b0_q = params.b0_q
-
-        def g_ln(x1, y1, x0, y0, delta):
-            return (
-                np.asarray(y1)
-                - np.asarray(y0)
-                + 0.5 * sigma * delta
-                - b0_q * delta / (sigma * np.exp(sigma * np.asarray(y0)))
-            )
-
-        return BasisTable(functions=(f_const,), offset=g_ln, coeff_names=spec.variance_names)
-    raise DomainViolation("RW has no variance drift to estimate")
-
-
-def variance_residual(
-    y1, y0, v0, delta: float, params: ParamVector, spec: ModelSpec
-) -> np.ndarray:
+def variance_residual(dy, v0, delta: float, params: ParamVector, spec: ModelSpec) -> np.ndarray:
     """Variance-equation innovation at the current drift coefficients.
 
-    eps_v = y1 - y0 - mu_Y(y0) * delta with the log-variance drift
-    mu_Y = (variance drift)/(sigma V) - sigma/2 evaluated at the departing
-    variance ``v0`` = exp(sigma * y0), distributed N(0, delta) when the
-    coefficients are correct.  The drift term is accumulated in place, as
-    the stock offset evaluates it on whole lattices.
+    eps_v = dy - mu_Y(y0) * delta for the increment dy = y1 - y0, with the
+    log-variance drift mu_Y = (variance drift)/(sigma V) - sigma/2
+    evaluated at the departing variance ``v0`` = exp(sigma * y0),
+    distributed N(0, delta) when the coefficients are correct.  The drift
+    term is accumulated in place, as the stock offset and the simulated
+    likelihood evaluate it on whole lattices.
     """
     sigma = params.sigma
     step = variance_drift_over_v(v0, params, spec)
     step /= sigma
     step -= 0.5 * sigma
-    step *= -delta
-    step += np.asarray(y1) - y0
-    return step
-
-
-def stock_basis(params: ParamVector, spec: ModelSpec) -> BasisTable:
-    """Basis and offset of the price (x) equation.
-
-    The offset depends on the variance-equation innovation through the
-    leverage term, so the variance drift coefficients held by ``params``
-    must already be the optimized ones.  The innovation is evaluated on the
-    whole lattice, departing from V0 = s^2 with s = exp(sigma*y0/2), the
-    scale of the price noise.
-    """
-    sigma, rho = params.sigma, params.rho
-    root = np.sqrt(1.0 - rho**2)
-
-    def f0(x, y):
-        return 1.0 / (root * np.exp(0.5 * sigma * np.asarray(y)))
-
-    def f1(x, y):
-        return np.exp(0.5 * sigma * np.asarray(y)) / root
-
-    def g_x(x1, y1, x0, y0, delta):
-        sq = np.exp(0.5 * sigma * np.asarray(y0))
-        eps_v = variance_residual(y1, y0, sq * sq, delta, params, spec)
-        eps_v *= -rho
-        eps_v *= sq
-        eps_v += np.asarray(x1) - x0
-        sq *= root
-        eps_v /= sq
-        return eps_v
-
-    return BasisTable(functions=(f0, f1), offset=g_x, coeff_names=STOCK)
+    step *= delta
+    return dy - step
 
 
 def chunk_intervals(n_draws: int, aug_steps: int) -> int:
@@ -205,13 +110,18 @@ def assemble_system(
     y_obs: Sequence[float],
     delta_obs: float,
     aug_steps: int,
-    basis: BasisTable,
+    regression: Callable,
     n_bridges: int,
     rng: RngStream,
-    params: ParamVector | None = None,
     eps: np.ndarray | None = None,
 ) -> LinearSystem:
     """Accumulate the normal equations over intervals 1 .. N-1.
+
+    ``regression(u0, u1, eps, delta)`` takes a chunk of B intervals, their
+    (B, 1, 2) endpoints ``u0`` and ``u1`` in (x, y) and their N(0, delta)
+    innovations ``eps`` of shape (B, R, M-1, 2), and returns the basis
+    values f_l(U_m) at the departing lattice points, shape (B, L, R, M),
+    and the offsets g(U_{m+1}, U_m), shape (B, R, M).
 
     Each interval's bridge expectations average ``n_bridges`` independent
     bridge fills drawn from the substream keyed by the interval's absolute
@@ -220,13 +130,8 @@ def assemble_system(
     processed ``chunk_intervals(n_bridges, aug_steps)`` at a time, so
     memory is bounded by ``CHUNK_POINTS`` lattice points; without a
     pre-drawn ``eps`` the innovations are drawn chunk by chunk too.
-
-    With ``params`` the lattice is the modified-bridge fill of (x, y),
-    whose price noise is scaled by the local diffusion matrix.  Without,
-    only y is filled (Y has unit diffusion, so its fill needs no
-    parameters) and the basis receives None for x; ``x_obs`` is then not
-    read.
     """
+    x_obs = np.asarray(x_obs, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     n_intervals = len(y_obs) - 1
     if n_intervals < 2:
@@ -234,64 +139,45 @@ def assemble_system(
     if n_bridges < 1:
         raise DomainViolation("n_bridges must be >= 1")
     chunk = chunk_intervals(n_bridges, aug_steps)
-    if params is not None:
-        x_obs = np.asarray(x_obs, dtype=float)
     delta = delta_obs / aug_steps
-    size = basis.size
 
     idx = np.arange(1, n_intervals)
-    gram_parts = np.empty((len(idx), size, size))
-    moment_parts = np.empty((len(idx), size))
+    gram_parts, moment_parts = [], []
     for lo in range(0, len(idx), chunk):
-        hi = min(lo + chunk, len(idx))
-        block = idx[lo:hi]
+        block = idx[lo : lo + chunk]
         eps_blk = (                      # (B, R, M-1, 2)
-            eps[lo:hi] if eps is not None
+            eps[lo : lo + chunk] if eps is not None
             else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
         )
-        # Lattice points m = 0..M of every fill, endpoints included.
-        y = _lattice(y_obs, block, n_bridges, aug_steps)
-        if params is None:
-            x0 = x1 = None
-            y[..., 1:-1] = bridge_path(
-                y_obs[block, None], y_obs[block + 1, None], aug_steps, eps_blk[..., 1]
-            )
-        else:
-            x = _lattice(x_obs, block, n_bridges, aug_steps)
-            u0 = np.stack([x_obs[block], y_obs[block]], axis=-1)[:, None]   # (B, 1, 2)
-            u1 = np.stack([x_obs[block + 1], y_obs[block + 1]], axis=-1)[:, None]
-            aux = modified_bridge_fill(u0, u1, aug_steps, params, eps=eps_blk)
-            x[..., 1:-1] = aux[..., 0]
-            y[..., 1:-1] = aux[..., 1]
-            x0, x1 = x[..., :-1], x[..., 1:]
-        y0, y1 = y[..., :-1], y[..., 1:]
+        u0 = np.stack([x_obs[block], y_obs[block]], axis=-1)[:, None]   # (B, 1, 2)
+        u1 = np.stack([x_obs[block + 1], y_obs[block + 1]], axis=-1)[:, None]
         # Overflow of the state transform is reported just below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fvals = np.stack([f(x0, y0) for f in basis.functions], axis=1)   # (B, L, R, M)
-            gvals = basis.offset(x1, y1, x0, y0, delta)                       # (B, R, M)
+            fvals, gvals = regression(u0, u1, eps_blk, delta)
         finite = np.isfinite(fvals).all(axis=(1, 2, 3)) & np.isfinite(gvals).all(axis=(1, 2))
         if not np.all(finite):
             raise DomainViolation(
                 f"non-finite basis evaluation on interval(s) {block[~finite][:5].tolist()}; "
                 "state transform overflowed"
             )
-        fmat = fvals.reshape(len(block), size, -1)
-        gram_parts[lo:hi] = delta * (fmat @ fmat.transpose(0, 2, 1)) / n_bridges
-        moment_parts[lo:hi] = (fmat @ gvals.reshape(len(block), -1, 1))[..., 0] / n_bridges
+        fmat = fvals.reshape(len(block), fvals.shape[1], -1)
+        gram_parts.append(delta * (fmat @ fmat.transpose(0, 2, 1)) / n_bridges)
+        moment_parts.append((fmat @ gvals.reshape(len(block), -1, 1))[..., 0] / n_bridges)
 
-    gram = gram_parts.sum(axis=0)
+    gram = np.concatenate(gram_parts).sum(axis=0)
     # Exact symmetry: keep the upper triangle, mirror it down.
     gram = np.triu(gram) + np.triu(gram, k=1).T
-    moment = moment_parts.sum(axis=0)
+    moment = np.concatenate(moment_parts).sum(axis=0)
     return LinearSystem(gram=gram, moment=moment)
 
 
-def _lattice(obs: np.ndarray, block: np.ndarray, n_bridges: int, aug_steps: int) -> np.ndarray:
-    """(B, R, M+1) lattice of one coordinate with each interval's
-    observations at points 0 and M; the auxiliary points are left unset."""
-    out = np.empty((len(block), n_bridges, aug_steps + 1))
-    out[..., 0] = obs[block, None]
-    out[..., -1] = obs[block + 1, None]
+def _pinned(end0: np.ndarray, end1: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """(B, R, M+1) lattice of one coordinate: the (B, 1) endpoints at
+    points 0 and M around the auxiliary points ``inner``, (B, R, M-1)."""
+    out = np.empty(inner.shape[:-1] + (inner.shape[-1] + 2,))
+    out[..., 0] = end0
+    out[..., 1:-1] = inner
+    out[..., -1] = end1
     return out
 
 
@@ -325,11 +211,42 @@ def solve_variance_drift(
     rng: RngStream,
     eps: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Optimal variance drift coefficients given vol and pricing parameters."""
-    basis = variance_basis(params, spec)
-    system = assemble_system(x_obs, y_obs, delta_obs, aug_steps, basis, n_bridges, rng, eps=eps)
-    coeffs = system.solve()
-    return dict(zip(basis.coeff_names, map(float, coeffs)))
+    """Optimal variance drift coefficients given vol and pricing parameters.
+
+    The variance (y) equation is regressed on bridge fills of Y alone:
+    Y has unit diffusion, so its fill needs no parameters and x is not
+    filled.  With V = exp(sigma*y), the one exp per lattice point, NL uses
+    the four functions 1/(sigma V), 1/sigma, V/sigma and 1/(sigma V^2)
+    with free coefficients (b0, b1, b2, b3) and offset
+    g = y1 - y0 + sigma*delta/2.  For LN the intercept coefficient equals
+    b0_q, which is known at this stage, so its state-dependent term
+    b0_q*delta/(sigma V) is absorbed into the offset and only b1 (basis
+    1/sigma) is estimated.
+    """
+    names = spec.variance_names
+    sigma = params.sigma
+
+    def regression(u0, u1, eps, delta):
+        y0, y1 = u0[..., 1], u1[..., 1]
+        y = _pinned(y0, y1, bridge_path(y0, y1, aug_steps, eps[..., 1]))
+        v = np.exp(sigma * y[..., :-1])
+        g = np.diff(y)
+        g += 0.5 * sigma * delta
+        # The basis is the largest array of an evaluation: written in place.
+        f = np.empty((len(v), len(names)) + v.shape[1:])
+        if spec.family is Family.LN:
+            f[:, 0] = 1.0 / sigma
+            v *= sigma
+            g -= params.b0_q * delta / v
+        else:
+            np.divide(1.0, np.multiply(sigma, v, out=f[:, 0]), out=f[:, 0])
+            f[:, 1] = 1.0 / sigma
+            np.divide(v, sigma, out=f[:, 2])
+            np.divide(f[:, 0], v, out=f[:, 3])
+        return f, g
+
+    system = assemble_system(x_obs, y_obs, delta_obs, aug_steps, regression, n_bridges, rng, eps)
+    return dict(zip(names, map(float, system.solve())))
 
 
 def solve_stock_drift(
@@ -345,12 +262,35 @@ def solve_stock_drift(
 ) -> tuple[float, float]:
     """Optimal price drift (a0, a1) conditional on the variance drift.
 
-    ``params`` must already hold the optimized variance coefficients, as
-    they define the residuals entering the offset.
+    The price (x) equation is regressed on modified-bridge fills of
+    (x, y), whose price noise is scaled by the local diffusion matrix.
+    With s = exp(sigma*y/2), the scale of the price noise and the one exp
+    per lattice point, and r = sqrt(1 - rho^2), the basis is 1/(r s) and
+    s/r and the offset is g = (x1 - x0 - rho*s*eps_v)/(r s), where eps_v
+    is the variance residual departing from V = s^2.  ``params`` must
+    already hold the optimized variance coefficients, as they define these
+    residuals.
     """
-    basis = stock_basis(params, spec)
-    system = assemble_system(
-        x_obs, y_obs, delta_obs, aug_steps, basis, n_bridges, rng, params=params, eps=eps
-    )
-    coeffs = system.solve()
-    return float(coeffs[0]), float(coeffs[1])
+    sigma, rho = params.sigma, params.rho
+    root = np.sqrt(1.0 - rho**2)
+
+    def regression(u0, u1, eps, delta):
+        fill = modified_bridge_fill(u0, u1, aug_steps, params, eps=eps)
+        x = _pinned(u0[..., 0], u1[..., 0], fill[..., 0])
+        y = _pinned(u0[..., 1], u1[..., 1], fill[..., 1])
+        del fill  # copied into the lattices; free it before the offsets
+        s = np.exp(0.5 * sigma * y[..., :-1])
+        g = variance_residual(np.diff(y), s * s, delta, params, spec)
+        g *= -rho
+        g *= s
+        g += np.diff(x)
+        f = np.empty((len(s), 2) + s.shape[1:])
+        np.divide(1.0, np.multiply(root, s, out=f[:, 0]), out=f[:, 0])
+        np.divide(s, root, out=f[:, 1])
+        s *= root
+        g /= s
+        return f, g
+
+    system = assemble_system(x_obs, y_obs, delta_obs, aug_steps, regression, n_bridges, rng, eps)
+    a0, a1 = system.solve()
+    return float(a0), float(a1)

@@ -96,6 +96,8 @@ class EvalConfig:
             raise DomainViolation("n_paths must be >= 1")
         if self.window_width < 0:
             raise DomainViolation("window_width must be >= 0")
+        if self.refit_every < 1:
+            raise DomainViolation("refit_every must be >= 1")
         _steps_per_day(self.dt)
 
 

@@ -35,7 +35,6 @@ from .model import (
     gamma_transform,
     iv_to_v,
     swap_coefficients,
-    variance_drift_over_v,
 )
 from .params import OUTER, DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
@@ -142,10 +141,10 @@ def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
     non-finite values, which the simulated likelihood reads as a zero
     importance weight.
     """
-    sigma, rho = params.sigma, params.rho
+    rho = params.rho
     v = s * s
     rx = dx - (params.a0 + params.a1 * v) * delta
-    ry = dy - (variance_drift_over_v(v, params, spec) / sigma - 0.5 * sigma) * delta
+    ry = eml.variance_residual(dy, v, delta, params, spec)
     return (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) / v / (
         delta * (1.0 - rho**2)
     )

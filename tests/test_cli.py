@@ -233,6 +233,19 @@ def test_dt_not_dividing_a_day_nonzero_exit(estimate_dir, sim_dir, tmp_path, cap
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_rolling_refit_every_zero_nonzero_exit(sim_dir, tmp_path, capsys, monkeypatch):
+    # Refitting every 0 dates is a settings error reported before any fit,
+    # not a division by zero after the in-sample fits.
+    fits = []
+    monkeypatch.setattr(nlsv.forecasting, "fit", lambda *args, **kw: fits.append(args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG.format(split=_split_date(sim_dir)) + "refit_every = 0\n")
+    argv = ["rolling", "--config", str(cfg), "--input", _series_csv(sim_dir), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "refit_every" in capsys.readouterr().err
+    assert fits == []
+
+
 @pytest.mark.parametrize("command", ["forecast", "rolling"])
 def test_header_only_csv_nonzero_exit(estimate_dir, tmp_path, capsys, command):
     tmp, cfg, est = estimate_dir

@@ -5,10 +5,10 @@ no module of ``nlsv`` references by name or attribute (``__init__.py``'s
 re-exports do not count) is reachable only from tests: delete it, or
 allow it below with the reason it stays.
 
-A parameter of a module-level function or method that its body never
-reads is a setting with no effect: delete it.  Nested functions and
-lambdas are exempt, because the basis closures implement the
-``BasisTable`` (x, y) interface whether or not they use both.
+A parameter of a function, method or nested function that its body
+never reads is a setting with no effect: delete it.  Lambdas are exempt,
+because they implement an interface whose arguments they may ignore
+(a forecast's models at every origin, the identity Jacobian).
 """
 
 import ast
@@ -56,29 +56,30 @@ def test_every_definition_is_referenced_in_the_package():
     assert unreferenced == []
 
 
+def _functions(node: ast.AST, prefix: str):
+    """Every ``def`` under ``node``, nested ones included, with its
+    qualified name."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield child, name
+        yield from _functions(child, name)
+
+
 def _unread_parameters(stem: str, tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            functions = [(node, f"{stem}.{node.name}")]
-        elif isinstance(node, ast.ClassDef):
-            functions = [
-                (item, f"{stem}.{node.name}.{item.name}")
-                for item in node.body
-                if isinstance(item, ast.FunctionDef)
-            ]
-        else:
-            continue
-        for func, qualified in functions:
-            args = func.args
-            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-            read = {
-                n.id for n in ast.walk(func)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            }
-            for name in params:
-                if name not in read and name not in ("self", "cls"):
-                    yield f"{qualified}.{name}"
+    for func, qualified in _functions(tree, stem):
+        args = func.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for name in params:
+            if name not in read and name not in ("self", "cls"):
+                yield f"{qualified}.{name}"
 
 
 def test_every_parameter_is_read():

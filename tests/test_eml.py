@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 import nlsv.eml
 from nlsv.eml import (
-    BasisTable,
     IllConditionedSystem,
     LinearSystem,
     assemble_system,
     draw_bridge_eps,
     solve_stock_drift,
     solve_variance_drift,
-    stock_basis,
-    variance_basis,
     variance_residual,
 )
 from nlsv.model import gamma_transform, y_drift
 from nlsv.params import DomainViolation, Measure
 from nlsv.rng import RngStream
+from nlsv.simulate import bridge_path
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series
 
@@ -40,41 +38,90 @@ def _series_xy(params, spec, n, seed, v0=0.03):
     return x, y
 
 
-# ------------------------------------------------------------ basis tables
+class _Captured(Exception):
+    pass
+
+
+def _regression(solver, params, spec, aug_steps):
+    """The per-chunk regression ``solver`` hands to ``assemble_system``."""
+
+    def capture(x_obs, y_obs, delta_obs, aug, regression, *rest):
+        raise _Captured(regression)
+
+    with mock.patch.object(nlsv.eml, "assemble_system", capture):
+        with pytest.raises(_Captured) as got:
+            solver(None, None, params, spec, DELTA, aug_steps, 1, RngStream(0))
+    return got.value.args[0]
+
+
+def _endpoints(x, y):
+    """(B, 1, 2) interval endpoints of the assembly's regression."""
+    return np.stack(np.broadcast_arrays(x, y), axis=-1)[:, None]
+
+
+def _variance_design(y, params):
+    """The paper's NL variance basis 1/(sigma V), 1/sigma, V/sigma and
+    1/(sigma V^2) at V = exp(sigma*y), one column each."""
+    sigma = params.sigma
+    v = np.exp(sigma * np.asarray(y))
+    return np.stack([1 / (sigma * v), np.full(v.shape, 1 / sigma), v / sigma, 1 / (sigma * v**2)], -1)
+
+
+# ------------------------------------------------------------ regressions
 
 
 def test_variance_basis_shapes():
-    assert variance_basis(NL_PARAMS, NL).size == 4
-    assert variance_basis(LN_PARAMS, LN).size == 1  # only b1 is free for LN
+    # The NL basis has four functions; LN estimates only b1.
+    u = _endpoints(0.0, np.array([-1.3, -1.0]))
+    for spec, params, size in ((NL, NL_PARAMS, 4), (LN, LN_PARAMS, 1)):
+        reg = _regression(solve_variance_drift, params, spec, 3)
+        f, g = reg(u, u, np.zeros((2, 5, 2, 2)), DELTA)
+        assert f.shape == (2, size, 5, 3) and g.shape == (2, 5, 3)
 
 
 def test_nl_basis_matches_y_drift():
     # sum_l c_l f_l(y) must equal the y drift plus the Ito correction.
-    from nlsv.model import y_drift
-    from nlsv.params import Measure
-
-    basis = variance_basis(NL_PARAMS, NL)
-    coeffs = (NL_PARAMS.b0, NL_PARAMS.b1, NL_PARAMS.b2, NL_PARAMS.b3)
+    reg = _regression(solve_variance_drift, NL_PARAMS, NL, 1)
     y = np.linspace(-2.0, 0.5, 31)
-    total = sum(c * f(None, y) for c, f in zip(coeffs, basis.functions))
+    f, _ = reg(_endpoints(0.0, y), _endpoints(0.0, y + 0.1), np.zeros((31, 1, 0, 2)), DELTA)
+    coeffs = np.array([NL_PARAMS.b0, NL_PARAMS.b1, NL_PARAMS.b2, NL_PARAMS.b3])
+    total = np.einsum("l,bl->b", coeffs, f[:, :, 0, 0])
     expected = y_drift(y, NL_PARAMS, NL, Measure.P) + 0.5 * NL_PARAMS.sigma
     assert np.allclose(total, expected, rtol=1e-12)
+    assert np.allclose(f[:, :, 0, 0], _variance_design(y, NL_PARAMS), rtol=1e-14)
 
 
 def test_ln_offset_absorbs_intercept():
-    # g_LN - (y1 - y0 + sigma*delta/2) must equal -b0_q*delta/(sigma*V0).
-    basis = variance_basis(LN_PARAMS, LN)
+    # g_LN - (y1 - y0 + sigma*delta/2) must equal -b0_q*delta/(sigma*V0),
+    # and the one basis function is 1/sigma.
+    reg = _regression(solve_variance_drift, LN_PARAMS, LN, 1)
     y0, y1, d = -1.3, -1.25, DELTA
-    g = basis.offset(None, y1, None, y0, d)
+    f, g = reg(_endpoints(0.0, [y0]), _endpoints(0.0, [y1]), np.zeros((1, 1, 0, 2)), d)
     base = y1 - y0 + 0.5 * LN_PARAMS.sigma * d
     expected = -LN_PARAMS.b0_q * d / (LN_PARAMS.sigma * np.exp(LN_PARAMS.sigma * y0))
-    assert g - base == pytest.approx(expected, rel=1e-12)
+    assert g[0, 0, 0] - base == pytest.approx(expected, rel=1e-12)
+    assert f[0, 0, 0, 0] == 1 / LN_PARAMS.sigma
+
+
+def test_stock_regression_removes_the_leverage_term():
+    # Basis 1/(r s), s/r and offset (x1 - x0 - rho*s*eps_v)/(r s), with
+    # s = exp(sigma*y0/2), r = sqrt(1 - rho^2) and eps_v the variance
+    # innovation y1 - y0 - mu_Y(y0)*delta.
+    reg = _regression(solve_stock_drift, NL_PARAMS, NL, 1)
+    x0, x1 = np.array([5.7, 5.6]), np.array([5.71, 5.58])
+    y0, y1 = np.array([-1.3, -0.9]), np.array([-1.25, -0.97])
+    f, g = reg(_endpoints(x0, y0), _endpoints(x1, y1), np.zeros((2, 1, 0, 2)), DELTA)
+    sigma, rho = NL_PARAMS.sigma, NL_PARAMS.rho
+    s, r = np.exp(0.5 * sigma * y0), np.sqrt(1 - rho**2)
+    eps_v = y1 - y0 - y_drift(y0, NL_PARAMS, NL, Measure.P) * DELTA
+    assert np.allclose(f[:, :, 0, 0], np.stack([1 / (r * s), s / r], -1), rtol=1e-14)
+    assert np.allclose(g[:, 0, 0], (x1 - x0 - rho * s * eps_v) / (r * s), rtol=1e-12)
 
 
 def test_variance_residual_is_centered_innovation():
     x, y = _series_xy(NL_PARAMS, NL, 800, 51)
     y0 = y[:-1]
-    eps = variance_residual(y[1:], y0, np.exp(NL_PARAMS.sigma * y0), DELTA, NL_PARAMS, NL)
+    eps = variance_residual(np.diff(y), np.exp(NL_PARAMS.sigma * y0), DELTA, NL_PARAMS, NL)
     # innovations are N(0, delta): mean near 0, variance near delta
     assert abs(eps.mean()) < 4 * np.sqrt(DELTA / len(eps))
     assert eps.var() == pytest.approx(DELTA, rel=0.15)
@@ -93,7 +140,7 @@ def test_variance_residual_matches_y_drift(spec, params, v0, dy, delta):
     y0 = np.array([gamma_transform(v0, params.sigma)])
     y1 = y0 + dy
     step = y_drift(y0, params, spec, Measure.P) * delta
-    got = variance_residual(y1, y0, np.exp(params.sigma * y0), delta, params, spec)
+    got = variance_residual(y1 - y0, np.exp(params.sigma * y0), delta, params, spec)
     scale = np.abs(y1 - y0) + np.abs(step)
     assert np.all(np.abs(got - (y1 - y0 - step)) <= 1e-12 * scale)
 
@@ -102,29 +149,41 @@ def test_variance_residual_matches_y_drift(spec, params, v0, dy, delta):
 
 
 def test_m1_reduction_equals_least_squares():
+    # At M = 1 the lattice is the observations, so the solution is the
+    # least-squares regression of the paper's offset on its basis.
     x, y = _series_xy(NL_PARAMS, NL, 600, 7)
-    basis = variance_basis(NL_PARAMS, NL)
-    system = assemble_system(x, y, DELTA, 1, basis, 1, RngStream(1, 1))
-    sol = system.solve()
-    x0s, y0s, x1s, y1s = x[1:-1], y[1:-1], x[2:], y[2:]
-    design = np.stack([f(x0s, y0s) for f in basis.functions], axis=1) * DELTA
-    target = basis.offset(x1s, y1s, x0s, y0s, DELTA)
+    sol = solve_variance_drift(x, y, NL_PARAMS, NL, DELTA, 1, 1, RngStream(1, 1))
+    y0s, y1s = y[1:-1], y[2:]
+    design = _variance_design(y0s, NL_PARAMS) * DELTA
+    target = y1s - y0s + 0.5 * NL_PARAMS.sigma * DELTA
     oracle, *_ = np.linalg.lstsq(design, target, rcond=None)
-    assert np.max(np.abs(sol - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-10
+    got = np.array([sol[k] for k in NL.variance_names])
+    assert np.max(np.abs(got - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-10
+
+
+def _y_lattice(u0, u1, eps):
+    """(B, R, M+1) plain-bridge lattice of Y, endpoints included."""
+    y0, y1 = u0[..., 1], u1[..., 1]
+    inner = bridge_path(y0, y1, eps.shape[-2] + 1, eps[..., 1])
+    shape = inner.shape[:-1] + (1,)
+    return np.concatenate(
+        [np.broadcast_to(y0[..., None], shape), inner, np.broadcast_to(y1[..., None], shape)],
+        axis=-1,
+    )
 
 
 def test_single_basis_telescoping_solution():
-    # Custom basis f0 = 1 with g = y1 - y0: bridge increments telescope per
-    # draw, so the solution is the trajectory-mean drift over the summed
-    # range (intervals 1..N-1, dropping the first interval).
+    # Custom regression f0 = 1 with g = y1 - y0: bridge increments
+    # telescope per draw, so the solution is the trajectory-mean drift over
+    # the summed range (intervals 1..N-1, dropping the first interval).
     x, y = _series_xy(LN_PARAMS, LN, 200, 13)
-    table = BasisTable(
-        functions=(lambda xx, yy: np.ones(np.shape(yy)),),
-        offset=lambda x1, y1, x0, y0, d: np.asarray(y1) - np.asarray(y0),
-        coeff_names=("mean_drift",),
-    )
+
+    def mean_drift(u0, u1, eps, delta):
+        lattice = _y_lattice(u0, u1, eps)
+        return np.ones((len(lattice), 1) + lattice[..., 1:].shape[1:]), np.diff(lattice)
+
     for aug in (1, 6):
-        system = assemble_system(x, y, DELTA, aug, table, 16, RngStream(2, 4))
+        system = assemble_system(x, y, DELTA, aug, mean_drift, 16, RngStream(2, 4))
         sol = system.solve()[0]
         n_used = len(y) - 2  # intervals 1..N-1
         expected = (y[-1] - y[1]) / (n_used * DELTA)
@@ -137,20 +196,21 @@ def test_constant_series_zero_noise_offset_sums():
     n = 12
     x = np.zeros(n)
     y = np.full(n, -1.5)
-    basis = variance_basis(NL_PARAMS, NL)
     aug = 4
+    reg = _regression(solve_variance_drift, NL_PARAMS, NL, aug)
     eps = np.zeros((n - 2, 3, aug - 1, 2))
-    system = assemble_system(x, y, DELTA, aug, basis, 3, RngStream(0), eps=eps)
+    system = assemble_system(x, y, DELTA, aug, reg, 3, RngStream(0), eps=eps)
     d = DELTA / aug
-    g_const = basis.offset(0.0, -1.5, 0.0, -1.5, d)
-    f_vals = np.array([f(0.0, -1.5) for f in basis.functions])
+    g_const = 0.5 * NL_PARAMS.sigma * d
+    f_vals = _variance_design(-1.5, NL_PARAMS)
     expected = (n - 2) * aug * g_const * f_vals
     assert np.allclose(system.moment, expected, rtol=1e-12)
 
 
 def test_gram_matrix_exactly_symmetric():
     x, y = _series_xy(NL_PARAMS, NL, 300, 23)
-    system = assemble_system(x, y, DELTA, 4, variance_basis(NL_PARAMS, NL), 8, RngStream(5, 2))
+    reg = _regression(solve_variance_drift, NL_PARAMS, NL, 4)
+    system = assemble_system(x, y, DELTA, 4, reg, 8, RngStream(5, 2))
     assert np.max(np.abs(system.gram - system.gram.T)) == 0.0
 
 
@@ -159,16 +219,16 @@ def _chunk_points(chunk, n_bridges, aug):
     return chunk * n_bridges * (aug + 1)
 
 
-_CHUNK_KW = dict(n_bridges=8, rng=RngStream(3, 9), params=NL_PARAMS)
+_CHUNK_KW = dict(n_bridges=8, rng=RngStream(3, 9))
 
 
 @functools.cache
 def _unchunked_systems():
-    """The series of the chunking tests and, per basis, its system
-    assembled in one chunk."""
+    """The series of the chunking tests and, per solver, its regression and
+    system assembled in one chunk."""
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
-    bases = (variance_basis(NL_PARAMS, NL), stock_basis(NL_PARAMS, NL))
-    return x, y, [(basis, assemble_system(x, y, DELTA, 4, basis, **_CHUNK_KW)) for basis in bases]
+    regs = [_regression(s, NL_PARAMS, NL, 4) for s in (solve_variance_drift, solve_stock_drift)]
+    return x, y, [(reg, assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)) for reg in regs]
 
 
 @given(chunk=st.integers(1, 148))
@@ -179,13 +239,13 @@ def _unchunked_systems():
 def test_assembly_invariant_to_chunking(chunk):
     # Intervals draw from their own substreams and their contributions are
     # reduced in index order, so any chunk length gives the system bitwise:
-    # the variance basis on the modified-bridge lattice, and the stock
-    # basis on innovations drawn chunk by chunk.
+    # the variance system on the Y fill and the stock system on the
+    # modified-bridge fill, both on innovations drawn chunk by chunk.
     x, y, systems = _unchunked_systems()
-    for basis, whole in systems:
+    for reg, whole in systems:
         with mock.patch.object(nlsv.eml, "CHUNK_POINTS", _chunk_points(chunk, 8, 4)):
             assert nlsv.eml.chunk_intervals(8, 4) == chunk
-            chunked = assemble_system(x, y, DELTA, 4, basis, **_CHUNK_KW)
+            chunked = assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)
         assert np.array_equal(whole.gram, chunked.gram)
         assert np.array_equal(whole.moment, chunked.moment)
 
@@ -194,8 +254,8 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
     # With no pre-drawn innovations each chunk draws only its own
     # intervals, and the system equals the one built on the full array.
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
-    basis = stock_basis(NL_PARAMS, NL)
     aug, n_bridges, chunk = 4, 8, 32
+    reg = _regression(solve_stock_drift, NL_PARAMS, NL, aug)
     monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(chunk, n_bridges, aug))
     sizes = []
 
@@ -204,21 +264,19 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
         return draw_bridge_eps(rng, indices, *args)
 
     monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
-    kw = dict(params=NL_PARAMS)
-    drawn = assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), **kw)
+    drawn = assemble_system(x, y, DELTA, aug, reg, n_bridges, RngStream(3, 9))
     assert sizes and max(sizes) <= chunk
     eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), n_bridges, aug, DELTA / aug)
-    full = assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), eps=eps, **kw)
+    full = assemble_system(x, y, DELTA, aug, reg, n_bridges, RngStream(3, 9), eps=eps)
     assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.moment, full.moment)
 
 
 def test_default_chunking_matches_single_intervals(monkeypatch):
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
-    basis = stock_basis(NL_PARAMS, NL)
-    kw = dict(n_bridges=8, rng=RngStream(3, 9), params=NL_PARAMS)
-    default = assemble_system(x, y, DELTA, 4, basis, **kw)
+    reg = _regression(solve_stock_drift, NL_PARAMS, NL, 4)
+    default = assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)
     monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(1, 8, 4))
-    single = assemble_system(x, y, DELTA, 4, basis, **kw)
+    single = assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)
     assert np.array_equal(default.gram, single.gram)
     assert np.array_equal(default.moment, single.moment)
 
@@ -238,28 +296,30 @@ def test_default_chunk_bounds_the_draws(monkeypatch):
         return draw_bridge_eps(rng, indices, *args)
 
     monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
-    basis = stock_basis(NL_PARAMS, NL)
-    assemble_system(x, y, DELTA, aug, basis, n_bridges, RngStream(3, 9), params=NL_PARAMS)
+    reg = _regression(solve_stock_drift, NL_PARAMS, NL, aug)
+    assemble_system(x, y, DELTA, aug, reg, n_bridges, RngStream(3, 9))
     assert len(sizes) == -(-(len(y) - 2) // chunk)
     assert max(sizes) == chunk
 
 
 def test_duplicated_system_same_solution():
     x, y = _series_xy(NL_PARAMS, NL, 300, 31)
-    system = assemble_system(x, y, DELTA, 2, variance_basis(NL_PARAMS, NL), 4, RngStream(8))
+    reg = _regression(solve_variance_drift, NL_PARAMS, NL, 2)
+    system = assemble_system(x, y, DELTA, 2, reg, 4, RngStream(8))
     doubled = LinearSystem(gram=2.0 * system.gram, moment=2.0 * system.moment)
     assert np.allclose(system.solve(), doubled.solve(), rtol=1e-12)
 
 
 def test_ill_conditioned_duplicate_basis():
     x, y = _series_xy(LN_PARAMS, LN, 100, 37)
-    f = lambda xx, yy: 1.0 / (LN_PARAMS.sigma * np.exp(LN_PARAMS.sigma * np.asarray(yy)))
-    table = BasisTable(
-        functions=(f, f),
-        offset=lambda x1, y1, x0, y0, d: np.asarray(y1) - np.asarray(y0),
-        coeff_names=("c0", "c1"),
-    )
-    system = assemble_system(x, y, DELTA, 1, table, 1, RngStream(0))
+    sigma = LN_PARAMS.sigma
+
+    def duplicated(u0, u1, eps, delta):
+        lattice = _y_lattice(u0, u1, eps)
+        f = 1.0 / (sigma * np.exp(sigma * lattice[..., :-1]))
+        return np.stack([f, f], axis=1), np.diff(lattice)
+
+    system = assemble_system(x, y, DELTA, 1, duplicated, 1, RngStream(0))
     with pytest.raises(IllConditionedSystem) as err:
         system.solve()
     assert err.value.condition > 1e12
@@ -268,8 +328,8 @@ def test_ill_conditioned_duplicate_basis():
 def test_nonfinite_basis_evaluation_diagnostic():
     x = np.zeros(5)
     y = np.array([0.0, 1e6, 0.0, 0.0, 0.0])  # exp(sigma*y) overflows
-    with pytest.raises(DomainViolation, match="interval"):
-        assemble_system(x, y, DELTA, 1, variance_basis(NL_PARAMS, NL), 1, RngStream(0))
+    with pytest.raises(DomainViolation, match=r"interval\(s\) \[1\]"):
+        solve_variance_drift(x, y, NL_PARAMS, NL, DELTA, 1, 1, RngStream(0))
 
 
 # ------------------------------------------------------------- recovery
@@ -328,10 +388,9 @@ def test_stock_drift_rho_zero_decouples():
     p = dataclasses.replace(NL_PARAMS, rho=0.0)
     x, y = _series_xy(p, NL, 500, 61)
     a0, a1 = solve_stock_drift(x, y, p, NL, DELTA, 1, 1, RngStream(2, 2))
-    basis = stock_basis(p, NL)
-    x0s, y0s, x1s, y1s = x[1:-1], y[1:-1], x[2:], y[2:]
-    design = np.stack([f(x0s, y0s) for f in basis.functions], axis=1) * DELTA
+    x0s, y0s, x1s = x[1:-1], y[1:-1], x[2:]
     sq = np.exp(0.5 * p.sigma * y0s)
+    design = np.stack([1.0 / sq, sq], axis=1) * DELTA  # basis 1/s, s at rho = 0
     target = (x1s - x0s) / sq  # rho = 0: plain scaled increments
     oracle, *_ = np.linalg.lstsq(design, target, rcond=None)
     assert a0 == pytest.approx(oracle[0], rel=1e-9, abs=1e-12)

@@ -328,7 +328,14 @@ def _quick_eval_config(**kw):
 
 
 @pytest.mark.parametrize(
-    "kw", [dict(n_paths=0), dict(dt=3 / (262 * 8)), dict(dt=0.0), dict(window_width=-1)]
+    "kw",
+    [
+        dict(n_paths=0),
+        dict(dt=3 / (262 * 8)),
+        dict(dt=0.0),
+        dict(window_width=-1),
+        dict(refit_every=0),
+    ],
 )
 def test_eval_config_rejects_bad_settings(kw):
     with pytest.raises(DomainViolation):

@@ -113,11 +113,11 @@ GOLDEN_FITS = {
             "b2": -497.3827640112469, "b3": 0.002074065420254644,
         },
         "std_errors": {
-            "sigma": 0.23698009530838832, "rho": 0.02789149687031276,
-            "b0_q": 0.024098382319328104, "b1_q": 2.6350622709296188,
-            "a0": 0.18208789152995244, "a1": 12.780497310293136,
-            "b0": 0.24052933342543845, "b1": 17.861997674345144,
-            "b2": 350.29520644910826, "b3": 0.0009715419199948879,
+            "sigma": 0.23697965488446032, "rho": 0.027891484746912977,
+            "b0_q": 0.02409831924050942, "b1_q": 2.635053438768825,
+            "a0": 0.18208791555466652, "a1": 12.780499484306972,
+            "b0": 0.24052933687835495, "b1": 17.86199852745699,
+            "b2": 350.295235248222, "b3": 0.0009715416878028277,
         },
     },
 }
