@@ -36,11 +36,6 @@ from .model import (
 )
 from .params import Family, Measure, ModelSpec, ParamVector, State
 from .rng import RngStream
-from .simulate import (
-    PathEnsemble,
-    euler_step,
-    modified_bridge_fill,
-    simulate_paths,
-)
+from .simulate import PathEnsemble, euler_step, simulate_paths
 
 __version__ = "0.1.0"

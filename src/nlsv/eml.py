@@ -10,12 +10,12 @@ The optimal coefficients given the vol and pricing-measure parameters
 solve the normal equations ``gram @ c = moment`` where the Gram matrix and
 moment vector accumulate conditional expectations of basis products over
 the unobserved lattice points, approximated by averaging over
-Brownian-bridge fills of each observation interval.
+modified-bridge walks through each observation interval.
 
-Each solver writes its regression once: for a chunk of intervals it fills
-the lattice, takes one exp per lattice point and returns the basis values
-f_l and offsets g as arrays, which :func:`assemble_system` reduces to the
-normal equations.
+Each solver writes its regression once: it turns one step of the walk,
+whose departing s = exp(sigma*Y/2) is the one exp per lattice point,
+into design rows, the basis values f_l and the offsets g of that step,
+which :func:`assemble_system` accumulates into the normal equations.
 
 The limited-information ordering estimates the variance drift first (its
 equation does not involve the price), then the price drift conditional on
@@ -33,16 +33,17 @@ import numpy as np
 from .model import variance_drift_over_v
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import bridge_path, modified_bridge_fill
+from .simulate import BridgeStep, modified_bridge_walk
 
 #: Condition-number threshold above which the normal equations are
 #: reported as ill-conditioned instead of solved.
 COND_THRESHOLD = 1e12
 
 #: Lattice points in one chunk of intervals: the EML chunk of 128
-#: intervals at the paper's S = 576 fills of M + 1 = 25 points.  Every
-#: per-chunk array is a small multiple of this many floats, so it bounds
-#: the memory of assembly and of the simulated likelihood at any budget.
+#: intervals at the paper's S = 576 walks of M + 1 = 25 points.  A chunk's
+#: innovations are twice this many floats and each array of one walk step
+#: CHUNK_POINTS/(M+1), so it bounds the memory of assembly and of the
+#: simulated likelihood at any budget.
 CHUNK_POINTS = 128 * 576 * 25
 
 
@@ -89,7 +90,7 @@ def variance_residual(dy, v0, delta: float, params: ParamVector, spec: ModelSpec
     evaluated at the departing variance ``v0`` = exp(sigma * y0),
     distributed N(0, delta) when the coefficients are correct.  The drift
     term is accumulated in place, as the stock offset and the simulated
-    likelihood evaluate it on whole lattices.
+    likelihood evaluate it at every step of every walk.
     """
     sigma = params.sigma
     step = variance_drift_over_v(v0, params, spec)
@@ -108,24 +109,27 @@ def chunk_intervals(n_draws: int, aug_steps: int) -> int:
 def assemble_system(
     x_obs: Sequence[float],
     y_obs: Sequence[float],
+    params: ParamVector,
     delta_obs: float,
     aug_steps: int,
-    regression: Callable,
+    regression: Callable[[BridgeStep, float], np.ndarray],
     n_bridges: int,
     rng: RngStream,
     eps: np.ndarray | None = None,
 ) -> LinearSystem:
     """Accumulate the normal equations over intervals 1 .. N-1.
 
-    ``regression(u0, u1, eps, delta)`` takes a chunk of B intervals, their
-    (B, 1, 2) endpoints ``u0`` and ``u1`` in (x, y) and their N(0, delta)
-    innovations ``eps`` of shape (B, R, M-1, 2), and returns the basis
-    values f_l(U_m) at the departing lattice points, shape (B, L, R, M),
-    and the offsets g(U_{m+1}, U_m), shape (B, R, M).
+    Each chunk of B intervals is walked by the modified bridge of
+    ``params`` on its N(0, delta) innovations, shape (B, R, M-1, 2), and
+    ``regression(step, delta)`` turns each :class:`BridgeStep` into its
+    design rows, shape (B, L+1, R): the basis values f_l at the departing
+    points, then the offsets g.  One product of these rows with the basis
+    rows gives each interval's Gram matrix and moment vector of the step,
+    summed over its R walks; they are then summed over its M steps in
+    order.
 
-    Each interval's bridge expectations average ``n_bridges`` independent
-    bridge fills drawn from the substream keyed by the interval's absolute
-    index, and per-interval contributions are reduced in index order, so
+    The walks of an interval are drawn from the substream keyed by its
+    absolute index, and per-interval sums are reduced in index order, so
     the result is independent of any processing partition.  Intervals are
     processed ``chunk_intervals(n_bridges, aug_steps)`` at a time, so
     memory is bounded by ``CHUNK_POINTS`` lattice points; without a
@@ -140,6 +144,7 @@ def assemble_system(
         raise DomainViolation("n_bridges must be >= 1")
     chunk = chunk_intervals(n_bridges, aug_steps)
     delta = delta_obs / aug_steps
+    u = np.stack([x_obs, y_obs], axis=-1)
 
     idx = np.arange(1, n_intervals)
     gram_parts, moment_parts = [], []
@@ -149,36 +154,26 @@ def assemble_system(
             eps[lo : lo + chunk] if eps is not None
             else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
         )
-        u0 = np.stack([x_obs[block], y_obs[block]], axis=-1)[:, None]   # (B, 1, 2)
-        u1 = np.stack([x_obs[block + 1], y_obs[block + 1]], axis=-1)[:, None]
+        sums = 0.0                       # (B, L+1, L): Gram rows, then moments
         # Overflow of the state transform is reported just below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fvals, gvals = regression(u0, u1, eps_blk, delta)
-        finite = np.isfinite(fvals).all(axis=(1, 2, 3)) & np.isfinite(gvals).all(axis=(1, 2))
+            for step in modified_bridge_walk(u[block], u[block + 1], params, eps_blk):
+                rows = regression(step, delta)
+                sums = sums + rows @ rows[:, :-1].transpose(0, 2, 1)
+        finite = np.isfinite(sums).all(axis=(1, 2))
         if not np.all(finite):
             raise DomainViolation(
                 f"non-finite basis evaluation on interval(s) {block[~finite][:5].tolist()}; "
                 "state transform overflowed"
             )
-        fmat = fvals.reshape(len(block), fvals.shape[1], -1)
-        gram_parts.append(delta * (fmat @ fmat.transpose(0, 2, 1)) / n_bridges)
-        moment_parts.append((fmat @ gvals.reshape(len(block), -1, 1))[..., 0] / n_bridges)
+        gram_parts.append(delta * sums[:, :-1] / n_bridges)
+        moment_parts.append(sums[:, -1] / n_bridges)
 
     gram = np.concatenate(gram_parts).sum(axis=0)
     # Exact symmetry: keep the upper triangle, mirror it down.
     gram = np.triu(gram) + np.triu(gram, k=1).T
     moment = np.concatenate(moment_parts).sum(axis=0)
     return LinearSystem(gram=gram, moment=moment)
-
-
-def _pinned(end0: np.ndarray, end1: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """(B, R, M+1) lattice of one coordinate: the (B, 1) endpoints at
-    points 0 and M around the auxiliary points ``inner``, (B, R, M-1)."""
-    out = np.empty(inner.shape[:-1] + (inner.shape[-1] + 2,))
-    out[..., 0] = end0
-    out[..., 1:-1] = inner
-    out[..., -1] = end1
-    return out
 
 
 def draw_bridge_eps(
@@ -213,12 +208,12 @@ def solve_variance_drift(
 ) -> dict[str, float]:
     """Optimal variance drift coefficients given vol and pricing parameters.
 
-    The variance (y) equation is regressed on bridge fills of Y alone:
-    Y has unit diffusion, so its fill needs no parameters and x is not
-    filled.  With V = exp(sigma*y), the one exp per lattice point, NL uses
-    the four functions 1/(sigma V), 1/sigma, V/sigma and 1/(sigma V^2)
-    with free coefficients (b0, b1, b2, b3) and offset
-    g = y1 - y0 + sigma*delta/2.  For LN the intercept coefficient equals
+    The variance (y) equation is regressed along the Y path of the
+    modified bridge, the plain Brownian bridge of e_y (Y has unit
+    diffusion).  With V = s^2 from the walk's one exp per lattice point,
+    NL uses the four functions 1/(sigma V), 1/sigma, V/sigma and
+    1/(sigma V^2) with free coefficients (b0, b1, b2, b3) and offset
+    g = dy + sigma*delta/2.  For LN the intercept coefficient equals
     b0_q, which is known at this stage, so its state-dependent term
     b0_q*delta/(sigma V) is absorbed into the offset and only b1 (basis
     1/sigma) is estimated.
@@ -226,14 +221,11 @@ def solve_variance_drift(
     names = spec.variance_names
     sigma = params.sigma
 
-    def regression(u0, u1, eps, delta):
-        y0, y1 = u0[..., 1], u1[..., 1]
-        y = _pinned(y0, y1, bridge_path(y0, y1, aug_steps, eps[..., 1]))
-        v = np.exp(sigma * y[..., :-1])
-        g = np.diff(y)
-        g += 0.5 * sigma * delta
-        # The basis is the largest array of an evaluation: written in place.
-        f = np.empty((len(v), len(names)) + v.shape[1:])
+    def regression(step: BridgeStep, delta: float):
+        v = step.s * step.s
+        rows = np.empty((len(v), len(names) + 1) + step.dy.shape[1:])
+        f, g = rows[:, :-1], rows[:, -1]
+        np.add(step.dy, 0.5 * sigma * delta, out=g)
         if spec.family is Family.LN:
             f[:, 0] = 1.0 / sigma
             v *= sigma
@@ -243,9 +235,11 @@ def solve_variance_drift(
             f[:, 1] = 1.0 / sigma
             np.divide(v, sigma, out=f[:, 2])
             np.divide(f[:, 0], v, out=f[:, 3])
-        return f, g
+        return rows
 
-    system = assemble_system(x_obs, y_obs, delta_obs, aug_steps, regression, n_bridges, rng, eps)
+    system = assemble_system(
+        x_obs, y_obs, params, delta_obs, aug_steps, regression, n_bridges, rng, eps
+    )
     return dict(zip(names, map(float, system.solve())))
 
 
@@ -262,35 +256,33 @@ def solve_stock_drift(
 ) -> tuple[float, float]:
     """Optimal price drift (a0, a1) conditional on the variance drift.
 
-    The price (x) equation is regressed on modified-bridge fills of
+    The price (x) equation is regressed along the modified bridge of
     (x, y), whose price noise is scaled by the local diffusion matrix.
     With s = exp(sigma*y/2), the scale of the price noise and the one exp
     per lattice point, and r = sqrt(1 - rho^2), the basis is 1/(r s) and
-    s/r and the offset is g = (x1 - x0 - rho*s*eps_v)/(r s), where eps_v
-    is the variance residual departing from V = s^2.  ``params`` must
+    s/r and the offset is g = (dx - rho*s*eps_v)/(r s), where eps_v is
+    the variance residual departing from V = s^2.  ``params`` must
     already hold the optimized variance coefficients, as they define these
     residuals.
     """
-    sigma, rho = params.sigma, params.rho
+    rho = params.rho
     root = np.sqrt(1.0 - rho**2)
 
-    def regression(u0, u1, eps, delta):
-        fill = modified_bridge_fill(u0, u1, aug_steps, params, eps=eps)
-        x = _pinned(u0[..., 0], u1[..., 0], fill[..., 0])
-        y = _pinned(u0[..., 1], u1[..., 1], fill[..., 1])
-        del fill  # copied into the lattices; free it before the offsets
-        s = np.exp(0.5 * sigma * y[..., :-1])
-        g = variance_residual(np.diff(y), s * s, delta, params, spec)
-        g *= -rho
+    def regression(step: BridgeStep, delta: float):
+        s = step.s
+        rs = root * s
+        rows = np.empty((len(s), 3) + step.dy.shape[1:])
+        np.divide(1.0, rs, out=rows[:, 0])
+        np.divide(s, root, out=rows[:, 1])
+        g = rows[:, 2]
+        np.multiply(variance_residual(step.dy, s * s, delta, params, spec), -rho, out=g)
         g *= s
-        g += np.diff(x)
-        f = np.empty((len(s), 2) + s.shape[1:])
-        np.divide(1.0, np.multiply(root, s, out=f[:, 0]), out=f[:, 0])
-        np.divide(s, root, out=f[:, 1])
-        s *= root
-        g /= s
-        return f, g
+        g += step.dx
+        g /= rs
+        return rows
 
-    system = assemble_system(x_obs, y_obs, delta_obs, aug_steps, regression, n_bridges, rng, eps)
+    system = assemble_system(
+        x_obs, y_obs, params, delta_obs, aug_steps, regression, n_bridges, rng, eps
+    )
     a0, a1 = system.solve()
     return float(a0), float(a1)

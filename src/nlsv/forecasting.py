@@ -43,6 +43,7 @@ from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
     SWAP_TENOR_YEARS,
+    exp_averages,
     iv_to_v,
     market_price_of_risk,
     swap_coefficients,
@@ -176,17 +177,12 @@ def _ln_variance_moments(v0: float, params: ParamVector, t: np.ndarray):
 
         E[V_t] = v0*e^z + b0_q*t*phi(z),  int_0^t E[V] = v0*t*phi(z) + b0_q*t^2*psi(z)
 
-    with z = b1*t, phi(z) = (e^z - 1)/z and psi(z) = (e^z - 1 - z)/z^2, both
-    from Taylor series for small |z| so that they are continuous across
-    b1 = 0.  Raises :class:`DomainViolation` when a moment overflows.
+    with z = b1*t and phi, psi from :func:`nlsv.model.exp_averages`.
+    Raises :class:`DomainViolation` when a moment overflows.
     """
     z = params.b1 * t
-    small = np.abs(z) < 1e-3  # direct forms lose eps/|z|; series error < z^4/100
     with np.errstate(over="ignore", invalid="ignore"):
-        zz = np.where(small, 1.0, z)
-        em1 = np.expm1(zz)
-        phi = np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z**3 / 24.0, em1 / zz)
-        psi = np.where(small, 0.5 + z / 6.0 + z * z / 24.0 + z**3 / 120.0, (em1 - zz) / (zz * zz))
+        phi, psi = np.array([exp_averages(zi) for zi in z]).T
         mean_v = v0 * np.exp(z) + params.b0_q * t * phi
         int_v = v0 * t * phi + params.b0_q * t * t * psi
     if not (np.all(np.isfinite(mean_v)) and np.all(np.isfinite(int_v))):

@@ -38,6 +38,7 @@ from .model import (
 )
 from .params import OUTER, DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
+from .simulate import modified_bridge_walk
 
 #: Top-level stream ids reserved by the estimation pipeline.
 STREAM_EML = 1
@@ -49,7 +50,7 @@ _PENALTY = 1e12
 
 @dataclass(frozen=True)
 class LikelihoodConfig:
-    """Budgets and tolerances of the simulated-likelihood machinery.
+    """Budgets and settings of the simulated-likelihood machinery.
 
     ``aug_steps`` is the number of Euler sub-steps per observation
     interval (config key ``M``) and ``mc_draws`` the importance-sample
@@ -69,8 +70,6 @@ class LikelihoodConfig:
     dampening_c: float = 1e-6
     max_iter: int = 400
     restarts: int = 3
-    xatol: float = 1e-5
-    fatol: float = 1e-7
     min_obs: int = 200
 
     def __post_init__(self):
@@ -92,13 +91,16 @@ class FitResult:
     params: ParamVector
     spec: ModelSpec
     loglik: float
-    param_names: tuple[str, ...]
     covariance: np.ndarray
     std_errors: dict[str, float]
     converged: bool
     n_iterations: int
     n_evaluations: int
     seed: int
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.spec.param_names
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +125,6 @@ class FitResult:
             params=params,
             spec=spec,
             loglik=float(payload["loglik"]),
-            param_names=tuple(payload["param_names"]),
             covariance=np.asarray(payload["covariance"], dtype=float),
             std_errors={k: float(v) for k, v in payload["std_errors"].items()},
             converged=bool(payload["converged"]),
@@ -168,11 +169,12 @@ def _sml_batch(
 
     ``u_from`` and ``u_to`` have shape (..., 2); ``eps`` holds the
     N(0, delta) draws e_m, shape (..., S, M-1, 2).  With M = 1 it is
-    empty, no lattice step is taken and every weight is the Euler density
-    of the whole interval.
+    empty, the walk takes its one step and every weight is the Euler
+    density of the whole interval.
 
-    Each draw follows the modified bridge from ``u_from`` to ``u_to``, so
-    the residual of lattice step m about the proposal mean is exactly
+    Each draw walks the modified bridge from ``u_from`` to ``u_to``
+    (:func:`nlsv.simulate.modified_bridge_walk`), so the residual of
+    lattice step m about the proposal mean is exactly
     sqrt(fac_m) * Sigma_m e_m, fac_m = (M-m-1)/(M-m).  The proposal's
     quadratic form is therefore e_m'e_m / delta, and its log-determinant
     cancels the Euler one up to log(fac_m), whose sum over m is -log(M).
@@ -183,30 +185,17 @@ def _sml_batch(
 
     with Q_m the Euler quadratic form of step m and the last step, from
     Y_{M-1} to the endpoint, carrying the only log-determinant left.  A
-    step costs one exp, s = exp(sigma*Y_m/2), and no log.
+    step costs the walk's one exp, s = exp(sigma*Y_m/2), and no log.
     """
     m_total = config.aug_steps
     delta = config.delta_obs / m_total
-    sigma, rho = params.sigma, params.rho
-    root = math.sqrt(1.0 - rho**2)
-    x, y = u_from[..., 0, None], u_from[..., 1, None]
-    x_end, y_end = u_to[..., 0, None], u_to[..., 1, None]
     quad = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in range(m_total - 1):
-            remain = m_total - m
-            root_fac = math.sqrt((remain - 1) / remain)
-            e_x, e_y = eps[..., m, 0], eps[..., m, 1]
-            s = np.exp(0.5 * sigma * y)
-            dx = (x_end - x) / remain + root_fac * s * (root * e_x + rho * e_y)
-            dy = (y_end - y) / remain + root_fac * e_y
-            quad = quad + _euler_quad(dx, dy, s, params, spec, delta)
-            x, y = x + dx, y + dy
-        s = np.exp(0.5 * sigma * y)
-        quad = quad + _euler_quad(x_end - x, y_end - y, s, params, spec, delta)
+        for step in modified_bridge_walk(u_from, u_to, params, eps):
+            quad = quad + _euler_quad(step.dx, step.dy, step.s, params, spec, delta)
         ee = np.einsum("...mk,...mk->...", eps, eps)
         logw = (
-            0.5 * (ee / delta - quad) - 0.5 * sigma * y
+            0.5 * (ee / delta - quad) - 0.5 * params.sigma * step.y
             + (_euler_log_norm(params, delta) - math.log(m_total))
         )
     # A draw that escaped the representable state region carries zero weight.
@@ -276,10 +265,11 @@ def total_loglik(
     Per-interval draws come from ``rng.substream(i)``, so the value does
     not depend on how intervals are partitioned across workers.
     Intervals are evaluated ``eml.chunk_intervals(mc_draws, aug_steps)``
-    at a time, so memory is bounded by ``eml.CHUNK_POINTS`` lattice
-    points; without a pre-drawn ``eps`` the innovations are drawn chunk by
-    chunk too.  At M = 1 there are none, and each interval's density is
-    the Euler density of its one step.
+    at a time, each chunk's S walks step by step, so memory is bounded by
+    ``eml.CHUNK_POINTS`` lattice points for the innovations and a
+    (chunk, S) array per step; without a pre-drawn ``eps`` the innovations
+    are drawn chunk by chunk too.  At M = 1 there are none, and each
+    interval's density is the Euler density of its one step.
     """
     try:
         x, y = series_to_lattice_coords(series, params, config.swap_tenor)
@@ -478,8 +468,8 @@ def fit(
             method="Nelder-Mead",
             options={
                 "maxiter": config.max_iter,
-                "xatol": config.xatol,
-                "fatol": config.fatol,
+                "xatol": _SEARCH_XATOL,
+                "fatol": _SEARCH_FATOL,
             },
         )
         n_iterations += int(result.nit)
@@ -497,7 +487,6 @@ def fit(
         params=theta_star,
         spec=spec,
         loglik=float(-best.fun),
-        param_names=names,
         covariance=cov,
         std_errors=dict(zip(names, se)),
         converged=converged,
@@ -506,6 +495,11 @@ def fit(
         seed=config.seed,
     )
 
+
+#: Nelder-Mead stopping tolerances of the outer search, on the
+#: unconstrained parameters and on the negative log-likelihood.
+_SEARCH_XATOL = 1e-5
+_SEARCH_FATOL = 1e-7
 
 #: Relative finite-difference steps of the sandwich's scores and Hessian.
 _SCORE_STEP = 1e-5

@@ -31,9 +31,10 @@ DAYS_PER_YEAR = 262
 DAYS_PER_MONTH = 22
 SWAP_TENOR_YEARS = DAYS_PER_MONTH / DAYS_PER_YEAR
 
-#: Threshold on |b1_q * delta| below which the swap coefficients switch to
-#: a Taylor series of (e^z - 1)/z to avoid catastrophic cancellation.
-_SWAP_SERIES_THRESHOLD = 1e-6
+#: |z| below which :func:`exp_averages` switches to Taylor series: the
+#: direct psi loses about 2e-16/|z| relative to cancellation, while the
+#: series' truncation error stays below |z|^5/700.
+_SERIES_THRESHOLD = 1e-3
 
 
 def _check_variance(v) -> np.ndarray:
@@ -175,30 +176,39 @@ def gamma_transform(v, sigma: float) -> np.ndarray:
     return np.log(v) / sigma
 
 
+def exp_averages(z: float) -> tuple[float, float]:
+    """phi(z) = (e^z - 1)/z and psi(z) = (e^z - 1 - z)/z^2.
+
+    They are the averages int_0^1 e^{zu} du and int_0^1 (1-u) e^{zu} du,
+    so the affine variance drift b0 + b1*V averages, over a horizon t
+    with z = b1*t, to E[V_t] = V_0 e^z + b0 t phi(z) and
+    int_0^t E[V_s] ds = V_0 t phi(z) + b0 t^2 psi(z).  For
+    |z| < ``_SERIES_THRESHOLD`` both come from Taylor series, so they are
+    continuous across b1 = 0.  Overflow gives inf with numpy's warning.
+    """
+    if abs(z) < _SERIES_THRESHOLD:
+        return (
+            1.0 + z / 2.0 + z * z / 6.0 + z**3 / 24.0 + z**4 / 120.0,
+            0.5 + z / 6.0 + z * z / 24.0 + z**3 / 120.0 + z**4 / 720.0,
+        )
+    em1 = np.expm1(z)
+    return em1 / z, (em1 - z) / (z * z)
+
+
 def swap_coefficients(params: ParamVector, delta: float) -> tuple[float, float]:
     """Variance-swap coefficients (A, B) for tenor ``delta`` (years).
 
     The expected average variance over [t, t+delta] under the pricing
-    measure is A + B * V_t with
+    measure is A + B * V_t, the average of the affine drift b0_q + b1_q*V
+    (:func:`exp_averages` at z = b1_q * delta):
 
-        B = (exp(b1_q * delta) - 1) / (b1_q * delta)
-        A = -(b0_q / b1_q) * (1 - B)
-
-    For |b1_q * delta| <= 1e-6 both are evaluated by a 4-term Taylor
-    series in z = b1_q * delta, so the pair is continuous across b1_q = 0.
+        B = phi(z) = (exp(z) - 1) / z
+        A = b0_q * delta * psi(z) = -(b0_q / b1_q) * (1 - B)
     """
     if not delta > 0.0:
         raise DomainViolation(f"delta must be > 0, got {delta}")
-    z = params.b1_q * delta
-    if abs(z) > _SWAP_SERIES_THRESHOLD:
-        b = np.expm1(z) / z
-        a = -(params.b0_q / params.b1_q) * (1.0 - b)
-    else:
-        # (e^z - 1)/z = 1 + z/2 + z^2/6 + z^3/24 + O(z^4)
-        b = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-        # A = b0_q * delta * (B - 1)/z expanded the same way
-        a = params.b0_q * delta * (0.5 + z / 6.0 + z * z / 24.0 + z * z * z / 120.0)
-    return float(a), float(b)
+    phi, psi = exp_averages(params.b1_q * delta)
+    return float(params.b0_q * delta * psi), float(phi)
 
 
 def v_to_iv(v, params: ParamVector, delta: float = SWAP_TENOR_YEARS) -> np.ndarray:

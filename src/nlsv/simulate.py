@@ -1,31 +1,29 @@
 """Euler-scheme simulation of the joint (log price, log variance) system
-and the modified-bridge fill used for data augmentation.
+and the modified-bridge walk used for data augmentation.
 
 Simulation always runs in the log-variance coordinate Y = log(V)/sigma,
 whose diffusion coefficient is exactly 1.  Positivity of V = exp(sigma*Y)
 then holds by construction under any step size, with no truncation fixes.
 
-The fill draws the auxiliary points between an observation pair
-(U_0, U_M) from the modified (state-scaled) bridge recursion
+The walk steps through the auxiliary points between an observation pair
+(U_0, U_M) by the modified (state-scaled) bridge recursion
 
     U_{m+1} = U_m + (U_M - U_m)/(M - m) + sqrt((M-m-1)/(M-m)) * n_m,
 
 with n_m = Sigma(U_m) e_m, e_m ~ N(0, delta * I) and Sigma the local
 diffusion matrix; it is the importance-sampling proposal of the simulated
-likelihood.  Subtracting the linear interpolation of the endpoints turns
-the recursion into a cumulative sum, so each coordinate has the closed
-form
-
-    U_k = U_0 + (k/M)(U_M - U_0)
-          + (M - k) * sum_{m<k} n_m / sqrt((M-m)(M-m-1)),   k = 1 .. M-1.
-
-Y has unit diffusion, so its column is the plain Brownian bridge of e_y;
-only the X noise is scaled, by exp(sigma*Y_m/2) at the departing point.
+likelihood and the bridge of the drift systems' expectations.  In (x, y)
+coordinates the rows of Sigma are (sqrt(1-rho^2)*s, rho*s) and (0, 1)
+with s = exp(sigma*Y_m/2): Y has unit diffusion, so its path is the plain
+Brownian bridge of e_y, and only the X noise is scaled, by the s of the
+departing point.  Each step takes that one exp and hands it on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -123,58 +121,47 @@ def simulate_paths(
     return PathEnsemble(x=xs, v=vs)
 
 
-def bridge_path(u0, u1, aug_steps: int, noise: np.ndarray) -> np.ndarray:
-    """The M-1 auxiliary points of one bridge coordinate, in closed form.
+class BridgeStep(NamedTuple):
+    """One lattice step of the modified bridge.  The increments have the
+    walk's shape (..., R); the departing y and s broadcast against them,
+    and at the first step they are the endpoint's, shape (..., 1).  The
+    walk advances from these arrays: read them, never write."""
 
-    ``noise`` holds n_0 .. n_{M-2} along its last axis; ``u0`` and ``u1``
-    broadcast against ``noise[..., 0]``.  The result has the shape of
-    ``noise`` and depends on the endpoints only through their linear
-    interpolation.
+    y: np.ndarray    # departing point Y_m
+    s: np.ndarray    # exp(sigma * Y_m / 2), so V_m = s^2
+    dx: np.ndarray   # increments U_{m+1} - U_m
+    dy: np.ndarray
+
+
+def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterator[BridgeStep]:
+    """Walk the modified bridge from ``u0`` to ``u1``, one step at a time.
+
+    ``u0`` and ``u1`` are (..., 2) endpoints in (x, y) and ``eps`` the
+    N(0, delta) innovations e_0 .. e_{M-2}, shape (..., R, M-1, 2).  Steps
+    m = 0 .. M-2 follow the recursion of the module docstring, departing
+    from the state U_m whose s_m scales both the price noise and the
+    caller's basis; step M-1 is the increment u1 - U_{M-1}, so the walk
+    lands exactly on ``u1``.  At M = 1 there are no innovations and the
+    one step is the whole interval, repeated for each of the R walks.
     """
-    m = np.arange(aug_steps - 1)
-    remain = aug_steps - m
-    path = noise / np.sqrt(remain * (remain - 1.0))
-    np.cumsum(path, axis=-1, out=path)
-    path *= remain - 1
-    u0 = np.asarray(u0, dtype=float)[..., None]
-    u1 = np.asarray(u1, dtype=float)[..., None]
-    path += u0 + (u1 - u0) * ((m + 1) / aug_steps)
-    return path
-
-
-def modified_bridge_fill(
-    u0,
-    u1,
-    aug_steps: int,
-    params: ParamVector,
-    eps: np.ndarray,
-) -> np.ndarray:
-    """Bridge draw with noise premultiplied by the local diffusion matrix.
-
-    ``u0`` and ``u1`` are (..., 2) endpoint arrays that broadcast against
-    the innovations ``eps`` of shape (..., M-1, 2), N(0, delta) at lattice
-    step delta.  The result has shape (..., M-1, 2), empty at M = 1, and
-    the recursion's final step lands exactly on ``u1``.
-
-    In (x, y) coordinates the diffusion matrix rows are
-    (sqrt(1-rho^2)*exp(sigma*y/2), rho*exp(sigma*y/2)) and (0, 1), so the
-    y fill is the plain Brownian-bridge fill :func:`bridge_path` of e_y
-    while the x fill takes the noise
-    exp(sigma*Y_m/2) * (sqrt(1-rho^2)*e_x + rho*e_y) at each departing
-    point Y_m.  This is the importance-sampling proposal of the
-    simulated-likelihood estimator.
-    """
-    if aug_steps < 1:
-        raise DomainViolation("aug_steps must be >= 1")
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    y = bridge_path(u0[..., 1], u1[..., 1], aug_steps, eps[..., 1])
-    y_from = np.concatenate(
-        [np.broadcast_to(u0[..., 1, None], y.shape[:-1] + (1,)), y[..., :-1]], axis=-1
+    m_total = eps.shape[-2] + 1
+    sigma, rho = params.sigma, params.rho
+    root = math.sqrt(1.0 - rho**2)
+    x, y = u0[..., 0, None], u0[..., 1, None]
+    x_end, y_end = u1[..., 0, None], u1[..., 1, None]
+    for m in range(m_total - 1):
+        remain = m_total - m
+        root_fac = math.sqrt((remain - 1) / remain)
+        e_x, e_y = eps[..., m, 0], eps[..., m, 1]
+        s = np.exp(0.5 * sigma * y)
+        dx = (x_end - x) / remain + root_fac * s * (root * e_x + rho * e_y)
+        dy = (y_end - y) / remain + root_fac * e_y
+        yield BridgeStep(y, s, dx, dy)
+        x, y = x + dx, y + dy
+    shape = eps.shape[:-2]
+    yield BridgeStep(
+        y,
+        np.exp(0.5 * sigma * y),
+        np.subtract(x_end, x, out=np.empty(shape)),
+        np.subtract(y_end, y, out=np.empty(shape)),
     )
-    noise = np.exp(0.5 * params.sigma * y_from) * (
-        np.sqrt(1.0 - params.rho**2) * eps[..., 0] + params.rho * eps[..., 1]
-    )
-    x = bridge_path(u0[..., 0], u1[..., 0], aug_steps, noise)
-    return np.stack([x, y], axis=-1)
-

@@ -5,6 +5,7 @@ from nlsv import Measure, ModelSpec, ParamVector, RngStream, State, simulate_pat
 from nlsv.data_io import ObservedSeries
 from nlsv.model import v_to_iv
 from nlsv.params import Family
+from nlsv.simulate import modified_bridge_walk
 
 # Estimated parameter values used as realistic anchors throughout the suite.
 LN_PARAMS = ParamVector(
@@ -78,3 +79,21 @@ def make_xy_paths(
     x = ens.x[:, burn:]
     y = np.log(ens.v[:, burn:]) / params.sigma
     return x, y
+
+
+def bridge_points(u0, u1, params: ParamVector, eps: np.ndarray) -> np.ndarray:
+    """Lattice U_0 .. U_M of one modified-bridge walk per leading index.
+
+    ``eps`` holds the walk's innovations, shape (..., M-1, 2); the result
+    has shape (..., M+1, 2), with the endpoints ``u0`` and ``u1`` at
+    points 0 and M and each auxiliary point the running sum of the walk's
+    increments, as the walk itself advances.
+    """
+    u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    shape = np.broadcast_shapes(u0.shape, u1.shape, eps.shape[:-2] + (2,))
+    points = [np.broadcast_to(u0, shape)]
+    for step in modified_bridge_walk(u0, u1, params, eps[..., None, :, :]):
+        points.append(points[-1] + np.stack([step.dx[..., 0], step.dy[..., 0]], axis=-1))
+    points[-1] = np.broadcast_to(u1, shape)
+    return np.stack(points, axis=-2)

@@ -328,8 +328,7 @@ def test_nl_drift_grid_sign_change(estimate_dir, tmp_path, sim_dir):
     from nlsv.params import ModelSpec, Family
 
     anchor = FitResult(
-        params=NL_PARAMS, spec=ModelSpec(Family.NL), loglik=0.0,
-        param_names=("sigma",), covariance=np.zeros((1, 1)),
+        params=NL_PARAMS, spec=ModelSpec(Family.NL), loglik=0.0, covariance=np.zeros((1, 1)),
         std_errors={"sigma": 0.0}, converged=True, n_iterations=0,
         n_evaluations=0, seed=0,
     )

@@ -20,7 +20,7 @@ from nlsv.eml import (
 from nlsv.model import gamma_transform, y_drift
 from nlsv.params import DomainViolation, Measure
 from nlsv.rng import RngStream
-from nlsv.simulate import bridge_path
+from nlsv.simulate import modified_bridge_walk
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series
 
@@ -43,9 +43,9 @@ class _Captured(Exception):
 
 
 def _regression(solver, params, spec, aug_steps):
-    """The per-chunk regression ``solver`` hands to ``assemble_system``."""
+    """The per-step regression ``solver`` hands to ``assemble_system``."""
 
-    def capture(x_obs, y_obs, delta_obs, aug, regression, *rest):
+    def capture(x_obs, y_obs, walk_params, delta_obs, aug, regression, *rest):
         raise _Captured(regression)
 
     with mock.patch.object(nlsv.eml, "assemble_system", capture):
@@ -54,9 +54,19 @@ def _regression(solver, params, spec, aug_steps):
     return got.value.args[0]
 
 
+def _on_lattice(regression, params, u0, u1, eps, delta):
+    """``regression`` at every step of the walks from ``u0`` to ``u1`` on
+    innovations ``eps`` (B, R, M-1, 2): basis values (B, L, R, M) and
+    offsets (B, R, M)."""
+    rows = np.stack(
+        [regression(step, delta) for step in modified_bridge_walk(u0, u1, params, eps)], axis=-1
+    )
+    return rows[:, :-1], rows[:, -1]
+
+
 def _endpoints(x, y):
-    """(B, 1, 2) interval endpoints of the assembly's regression."""
-    return np.stack(np.broadcast_arrays(x, y), axis=-1)[:, None]
+    """(B, 2) interval endpoints of the walk."""
+    return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
 
 def _variance_design(y, params):
@@ -75,7 +85,7 @@ def test_variance_basis_shapes():
     u = _endpoints(0.0, np.array([-1.3, -1.0]))
     for spec, params, size in ((NL, NL_PARAMS, 4), (LN, LN_PARAMS, 1)):
         reg = _regression(solve_variance_drift, params, spec, 3)
-        f, g = reg(u, u, np.zeros((2, 5, 2, 2)), DELTA)
+        f, g = _on_lattice(reg, params, u, u, np.zeros((2, 5, 2, 2)), DELTA)
         assert f.shape == (2, size, 5, 3) and g.shape == (2, 5, 3)
 
 
@@ -83,7 +93,9 @@ def test_nl_basis_matches_y_drift():
     # sum_l c_l f_l(y) must equal the y drift plus the Ito correction.
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, 1)
     y = np.linspace(-2.0, 0.5, 31)
-    f, _ = reg(_endpoints(0.0, y), _endpoints(0.0, y + 0.1), np.zeros((31, 1, 0, 2)), DELTA)
+    f, _ = _on_lattice(
+        reg, NL_PARAMS, _endpoints(0.0, y), _endpoints(0.0, y + 0.1), np.zeros((31, 1, 0, 2)), DELTA
+    )
     coeffs = np.array([NL_PARAMS.b0, NL_PARAMS.b1, NL_PARAMS.b2, NL_PARAMS.b3])
     total = np.einsum("l,bl->b", coeffs, f[:, :, 0, 0])
     expected = y_drift(y, NL_PARAMS, NL, Measure.P) + 0.5 * NL_PARAMS.sigma
@@ -96,7 +108,9 @@ def test_ln_offset_absorbs_intercept():
     # and the one basis function is 1/sigma.
     reg = _regression(solve_variance_drift, LN_PARAMS, LN, 1)
     y0, y1, d = -1.3, -1.25, DELTA
-    f, g = reg(_endpoints(0.0, [y0]), _endpoints(0.0, [y1]), np.zeros((1, 1, 0, 2)), d)
+    f, g = _on_lattice(
+        reg, LN_PARAMS, _endpoints(0.0, [y0]), _endpoints(0.0, [y1]), np.zeros((1, 1, 0, 2)), d
+    )
     base = y1 - y0 + 0.5 * LN_PARAMS.sigma * d
     expected = -LN_PARAMS.b0_q * d / (LN_PARAMS.sigma * np.exp(LN_PARAMS.sigma * y0))
     assert g[0, 0, 0] - base == pytest.approx(expected, rel=1e-12)
@@ -110,7 +124,9 @@ def test_stock_regression_removes_the_leverage_term():
     reg = _regression(solve_stock_drift, NL_PARAMS, NL, 1)
     x0, x1 = np.array([5.7, 5.6]), np.array([5.71, 5.58])
     y0, y1 = np.array([-1.3, -0.9]), np.array([-1.25, -0.97])
-    f, g = reg(_endpoints(x0, y0), _endpoints(x1, y1), np.zeros((2, 1, 0, 2)), DELTA)
+    f, g = _on_lattice(
+        reg, NL_PARAMS, _endpoints(x0, y0), _endpoints(x1, y1), np.zeros((2, 1, 0, 2)), DELTA
+    )
     sigma, rho = NL_PARAMS.sigma, NL_PARAMS.rho
     s, r = np.exp(0.5 * sigma * y0), np.sqrt(1 - rho**2)
     eps_v = y1 - y0 - y_drift(y0, NL_PARAMS, NL, Measure.P) * DELTA
@@ -161,29 +177,17 @@ def test_m1_reduction_equals_least_squares():
     assert np.max(np.abs(got - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-10
 
 
-def _y_lattice(u0, u1, eps):
-    """(B, R, M+1) plain-bridge lattice of Y, endpoints included."""
-    y0, y1 = u0[..., 1], u1[..., 1]
-    inner = bridge_path(y0, y1, eps.shape[-2] + 1, eps[..., 1])
-    shape = inner.shape[:-1] + (1,)
-    return np.concatenate(
-        [np.broadcast_to(y0[..., None], shape), inner, np.broadcast_to(y1[..., None], shape)],
-        axis=-1,
-    )
-
-
 def test_single_basis_telescoping_solution():
-    # Custom regression f0 = 1 with g = y1 - y0: bridge increments
-    # telescope per draw, so the solution is the trajectory-mean drift over
-    # the summed range (intervals 1..N-1, dropping the first interval).
+    # Custom regression f0 = 1 with g = dy: bridge increments telescope
+    # per draw, so the solution is the trajectory-mean drift over the
+    # summed range (intervals 1..N-1, dropping the first interval).
     x, y = _series_xy(LN_PARAMS, LN, 200, 13)
 
-    def mean_drift(u0, u1, eps, delta):
-        lattice = _y_lattice(u0, u1, eps)
-        return np.ones((len(lattice), 1) + lattice[..., 1:].shape[1:]), np.diff(lattice)
+    def mean_drift(step, delta):
+        return np.stack([np.ones(step.dy.shape), step.dy], axis=1)
 
     for aug in (1, 6):
-        system = assemble_system(x, y, DELTA, aug, mean_drift, 16, RngStream(2, 4))
+        system = assemble_system(x, y, LN_PARAMS, DELTA, aug, mean_drift, 16, RngStream(2, 4))
         sol = system.solve()[0]
         n_used = len(y) - 2  # intervals 1..N-1
         expected = (y[-1] - y[1]) / (n_used * DELTA)
@@ -199,7 +203,7 @@ def test_constant_series_zero_noise_offset_sums():
     aug = 4
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, aug)
     eps = np.zeros((n - 2, 3, aug - 1, 2))
-    system = assemble_system(x, y, DELTA, aug, reg, 3, RngStream(0), eps=eps)
+    system = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, 3, RngStream(0), eps=eps)
     d = DELTA / aug
     g_const = 0.5 * NL_PARAMS.sigma * d
     f_vals = _variance_design(-1.5, NL_PARAMS)
@@ -210,7 +214,7 @@ def test_constant_series_zero_noise_offset_sums():
 def test_gram_matrix_exactly_symmetric():
     x, y = _series_xy(NL_PARAMS, NL, 300, 23)
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, 4)
-    system = assemble_system(x, y, DELTA, 4, reg, 8, RngStream(5, 2))
+    system = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, 8, RngStream(5, 2))
     assert np.max(np.abs(system.gram - system.gram.T)) == 0.0
 
 
@@ -228,7 +232,8 @@ def _unchunked_systems():
     system assembled in one chunk."""
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
     regs = [_regression(s, NL_PARAMS, NL, 4) for s in (solve_variance_drift, solve_stock_drift)]
-    return x, y, [(reg, assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)) for reg in regs]
+    systems = [(reg, assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)) for reg in regs]
+    return x, y, systems
 
 
 @given(chunk=st.integers(1, 148))
@@ -245,7 +250,7 @@ def test_assembly_invariant_to_chunking(chunk):
     for reg, whole in systems:
         with mock.patch.object(nlsv.eml, "CHUNK_POINTS", _chunk_points(chunk, 8, 4)):
             assert nlsv.eml.chunk_intervals(8, 4) == chunk
-            chunked = assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)
+            chunked = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
         assert np.array_equal(whole.gram, chunked.gram)
         assert np.array_equal(whole.moment, chunked.moment)
 
@@ -264,19 +269,19 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
         return draw_bridge_eps(rng, indices, *args)
 
     monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
-    drawn = assemble_system(x, y, DELTA, aug, reg, n_bridges, RngStream(3, 9))
+    drawn = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, n_bridges, RngStream(3, 9))
     assert sizes and max(sizes) <= chunk
     eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), n_bridges, aug, DELTA / aug)
-    full = assemble_system(x, y, DELTA, aug, reg, n_bridges, RngStream(3, 9), eps=eps)
+    full = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, n_bridges, RngStream(3, 9), eps=eps)
     assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.moment, full.moment)
 
 
 def test_default_chunking_matches_single_intervals(monkeypatch):
     x, y = _series_xy(NL_PARAMS, NL, 150, 29)
     reg = _regression(solve_stock_drift, NL_PARAMS, NL, 4)
-    default = assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)
+    default = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
     monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(1, 8, 4))
-    single = assemble_system(x, y, DELTA, 4, reg, **_CHUNK_KW)
+    single = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
     assert np.array_equal(default.gram, single.gram)
     assert np.array_equal(default.moment, single.moment)
 
@@ -297,7 +302,7 @@ def test_default_chunk_bounds_the_draws(monkeypatch):
 
     monkeypatch.setattr(nlsv.eml, "draw_bridge_eps", recorder)
     reg = _regression(solve_stock_drift, NL_PARAMS, NL, aug)
-    assemble_system(x, y, DELTA, aug, reg, n_bridges, RngStream(3, 9))
+    assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, n_bridges, RngStream(3, 9))
     assert len(sizes) == -(-(len(y) - 2) // chunk)
     assert max(sizes) == chunk
 
@@ -305,7 +310,7 @@ def test_default_chunk_bounds_the_draws(monkeypatch):
 def test_duplicated_system_same_solution():
     x, y = _series_xy(NL_PARAMS, NL, 300, 31)
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, 2)
-    system = assemble_system(x, y, DELTA, 2, reg, 4, RngStream(8))
+    system = assemble_system(x, y, NL_PARAMS, DELTA, 2, reg, 4, RngStream(8))
     doubled = LinearSystem(gram=2.0 * system.gram, moment=2.0 * system.moment)
     assert np.allclose(system.solve(), doubled.solve(), rtol=1e-12)
 
@@ -314,12 +319,11 @@ def test_ill_conditioned_duplicate_basis():
     x, y = _series_xy(LN_PARAMS, LN, 100, 37)
     sigma = LN_PARAMS.sigma
 
-    def duplicated(u0, u1, eps, delta):
-        lattice = _y_lattice(u0, u1, eps)
-        f = 1.0 / (sigma * np.exp(sigma * lattice[..., :-1]))
-        return np.stack([f, f], axis=1), np.diff(lattice)
+    def duplicated(step, delta):
+        f = 1.0 / (sigma * np.exp(sigma * step.y))
+        return np.stack(np.broadcast_arrays(f, f, step.dy), axis=1)
 
-    system = assemble_system(x, y, DELTA, 1, duplicated, 1, RngStream(0))
+    system = assemble_system(x, y, LN_PARAMS, DELTA, 1, duplicated, 1, RngStream(0))
     with pytest.raises(IllConditionedSystem) as err:
         system.solve()
     assert err.value.condition > 1e12

@@ -97,9 +97,9 @@ GOLDEN_FITS = {
             "a0": -0.16848349759552608, "a1": 15.565074126293508, "b1": -9.41624360097131,
         },
         "std_errors": {
-            "sigma": 0.20568118770738938, "rho": 0.030104769843949306,
-            "b0_q": 0.02117032138738948, "b1_q": 2.629986822793983,
-            "a0": 0.13384473009892003, "a1": 9.661979282839932, "b1": 2.972806826876393,
+            "sigma": 0.20568118071528954, "rho": 0.030104769285848806,
+            "b0_q": 0.021170320762393977, "b1_q": 2.62998668227123,
+            "a0": 0.1338446842934984, "a1": 9.66197445478865, "b1": 2.9728068013716324,
         },
     },
     "NL": {
@@ -113,11 +113,11 @@ GOLDEN_FITS = {
             "b2": -497.3827640112469, "b3": 0.002074065420254644,
         },
         "std_errors": {
-            "sigma": 0.23697965488446032, "rho": 0.027891484746912977,
-            "b0_q": 0.02409831924050942, "b1_q": 2.635053438768825,
-            "a0": 0.18208791555466652, "a1": 12.780499484306972,
-            "b0": 0.24052933687835495, "b1": 17.86199852745699,
-            "b2": 350.295235248222, "b3": 0.0009715416878028277,
+            "sigma": 0.23697920563470506, "rho": 0.027891472645348504,
+            "b0_q": 0.02409825520715388, "b1_q": 2.6350443435824373,
+            "a0": 0.1820878901876197, "a1": 12.780498135624471,
+            "b0": 0.24052938604856422, "b1": 17.862003207611195,
+            "b2": 350.2953280644296, "b3": 0.0009715416183544923,
         },
     },
 }

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,14 +22,14 @@ from nlsv.likelihood import (
     fit,
     moment_init,
     sandwich_errors,
+    series_to_lattice_coords,
     total_loglik,
 )
 from nlsv.model import gamma_transform, iv_to_v, swap_coefficients, v_to_iv
 from nlsv.params import DomainViolation, Measure, ParamVector
 from nlsv.rng import RngStream
-from nlsv.simulate import modified_bridge_fill
 
-from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series
+from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points, make_series
 
 DELTA = 1 / 262
 
@@ -178,7 +179,7 @@ def test_proposal_scores_bridge_draws_finite():
     u1 = np.array([0.02, -1.2])
     n = 10_000
     eps = RngStream(31).generator().standard_normal((n, aug - 1, 2)) * math.sqrt(delta)
-    aux = modified_bridge_fill(np.broadcast_to(u0, (n, 2)), u1, aug, p, eps=eps)
+    aux = bridge_points(np.broadcast_to(u0, (n, 2)), u1, p, eps)[:, 1:-1]
     prev = np.broadcast_to(u0, (n, 2))
     for m in range(aug - 1):
         ld = proposal_density_q(aux[:, m, :], prev, u1, p, m, aug, delta)
@@ -306,8 +307,7 @@ def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
     u1 = np.array([0.01, gamma_transform(0.040, params.sigma)])
     eps = RngStream(41).generator().standard_normal((1, aug - 1, 2)) * math.sqrt(delta)
     ld = _sml_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=eps)
-    aux = modified_bridge_fill(u0, u1, aug, params, eps=eps[0])
-    points = np.concatenate([u0[None], aux, u1[None]])
+    points = bridge_points(u0, u1, params, eps[0])
     explicit = sum(
         float(euler_density(points[m + 1], points[m], params, spec, delta))
         - float(proposal_density_q(points[m + 1], points[m], u1, params, m, aug, delta))
@@ -466,6 +466,47 @@ def test_total_loglik_default_chunking_matches_explicit(monkeypatch):
     monkeypatch.setattr(eml, "draw_bridge_eps", recorder)
     assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == explicit
     assert len(sizes) == -(-69 // 11) and max(sizes) == 11
+
+
+@pytest.mark.parametrize("stage", ["variance", "stock", "sml"])
+def test_paper_chunk_peak_memory_is_bounded(stage):
+    # One full chunk at the paper's budgets M = 24, S = 576, innovations
+    # drawn before tracing: each stage walks the chunk step by step, so
+    # its arrays are (B, R) per step, not a (B, L, R, M) lattice basis.
+    cfg = LikelihoodConfig(aug_steps=24, mc_draws=576)
+    chunk = eml.chunk_intervals(cfg.mc_draws, cfg.aug_steps)
+    delta = cfg.delta_obs / cfg.aug_steps
+    series = make_series(NL_PARAMS, NL, chunk + 2, 17)
+    if stage == "sml":
+        series = dataclasses.replace(
+            series, dates=series.dates[:-1], x=series.x[:-1], iv=series.iv[:-1]
+        )
+        eps = eml.draw_bridge_eps(
+            RngStream(0, 2), np.arange(chunk), cfg.mc_draws, cfg.aug_steps, delta
+        )
+
+        def run():
+            return total_loglik(series, NL_PARAMS, NL, cfg, RngStream(0, 2), eps=eps)
+    else:
+        solver = eml.solve_variance_drift if stage == "variance" else eml.solve_stock_drift
+        x, y = series_to_lattice_coords(series, NL_PARAMS, cfg.swap_tenor)
+        eps = eml.draw_bridge_eps(
+            RngStream(0, 1), np.arange(1, chunk + 1), cfg.bridge_draws, cfg.aug_steps, delta
+        )
+
+        def run():
+            return solver(
+                x, y, NL_PARAMS, NL, cfg.delta_obs, cfg.aug_steps, cfg.bridge_draws,
+                RngStream(0, 1), eps=eps,
+            )
+
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 _LOG_WEIGHT = st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -244,13 +245,26 @@ def test_swap_coefficients_short_tenor_limit():
 
 
 def test_swap_series_switch_continuous():
+    # Either side of the series switch at |b1_q * delta| = 1e-3.
     delta = 1.0
-    for z in (1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9)):
-        p = dataclasses.replace(LN_PARAMS, b1_q=z / delta)
-        a_closed, b_closed = swap_coefficients(dataclasses.replace(p, b1_q=1.0000001e-6), delta)
-        a_series, b_series = swap_coefficients(dataclasses.replace(p, b1_q=0.9999999e-6), delta)
+    for z in (1e-3, -1e-3):
+        closed = dataclasses.replace(LN_PARAMS, b1_q=z * (1 + 1e-9))
+        series = dataclasses.replace(LN_PARAMS, b1_q=z * (1 - 1e-9))
+        a_closed, b_closed = swap_coefficients(closed, delta)
+        a_series, b_series = swap_coefficients(series, delta)
         assert abs(b_closed - b_series) < 1e-10
         assert abs(a_closed - a_series) < 1e-10
+
+
+def test_swap_intercept_matches_series_at_small_slope():
+    # A = b0_q * delta * sum_k z^k/(k+2)!: the direct form
+    # -(b0_q/b1_q) * (1 - B) loses about 2e-16/z to cancellation, 1.5e-12
+    # relative at z = 1e-5.
+    z = 1e-5
+    p = dataclasses.replace(LN_PARAMS, b1_q=z)
+    a, _ = swap_coefficients(p, 1.0)
+    series = p.b0_q * sum(z**k / math.factorial(k + 2) for k in range(6))
+    assert a == pytest.approx(series, rel=1e-13, abs=0.0)
 
 
 @given(b1q=st.floats(-50.0, 50.0))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from nlsv.model import gamma_transform
 from nlsv.params import DomainViolation, Measure, ParamVector, State
 from nlsv.rng import RngStream
-from nlsv.simulate import bridge_path, euler_step, modified_bridge_fill, simulate_paths
+from nlsv.simulate import euler_step, modified_bridge_walk, simulate_paths
 
-from conftest import LN, LN_PARAMS, NL, NL_PARAMS
+from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points
 
 
 class _ZeroStream:
@@ -140,17 +140,42 @@ UNIT = ParamVector(sigma=1e-10, rho=0.0, b0_q=0.01, b1_q=0.0)
 
 
 def _unit_fill(u0, u1, aug, delta, seed):
-    """Modified-bridge fill at unit diffusion on N(0, delta) draws from
-    ``RngStream(seed)``."""
+    """Auxiliary points of the modified-bridge walk at unit diffusion on
+    N(0, delta) draws from ``RngStream(seed)``, shape (..., M-1, 2)."""
     u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
     shape = np.broadcast_shapes(u0.shape, u1.shape)[:-1] + (aug - 1, 2)
     eps = RngStream(seed).generator().standard_normal(shape) * np.sqrt(delta)
-    return modified_bridge_fill(u0, u1, aug, UNIT, eps=eps)
+    return bridge_points(u0, u1, UNIT, eps)[..., 1:-1, :]
 
 
-def _plain_fill(u0, u1, aug, eps):
-    """Reference: the plain Brownian bridge of each coordinate."""
-    return np.stack([bridge_path(u0[i], u1[i], aug, eps[..., i]) for i in range(2)], axis=-1)
+def _closed_form(u0, u1, aug: int, noise: np.ndarray) -> np.ndarray:
+    """Reference: the M-1 auxiliary points of one bridge coordinate,
+
+        U_k = U_0 + (k/M)(U_M - U_0) + (M-k) * sum_{m<k} n_m / sqrt((M-m)(M-m-1)),
+
+    the recursion's cumulative sum once the linear interpolation of the
+    endpoints is taken out.  ``noise`` holds n_0 .. n_{M-2} along its last
+    axis."""
+    m = np.arange(aug - 1)
+    remain = aug - m
+    path = np.cumsum(noise / np.sqrt(remain * (remain - 1.0)), axis=-1) * (remain - 1)
+    u0 = np.asarray(u0, dtype=float)[..., None]
+    u1 = np.asarray(u1, dtype=float)[..., None]
+    return path + u0 + (u1 - u0) * ((m + 1) / aug)
+
+
+def _closed_form_fill(u0, u1, aug, params, eps):
+    """Reference: the modified-bridge fill in closed form, shape
+    (..., M-1, 2).  Y is the plain bridge of e_y; X takes the noise
+    exp(sigma*Y_m/2) * (sqrt(1-rho^2)*e_x + rho*e_y) at each departing
+    point Y_m."""
+    y = _closed_form(u0[..., 1], u1[..., 1], aug, eps[..., 1])
+    start = np.broadcast_to(u0[..., 1, None], y.shape[:-1] + (1,))
+    y_from = np.concatenate([start, y[..., :-1]], axis=-1)
+    noise = np.exp(0.5 * params.sigma * y_from) * (
+        np.sqrt(1.0 - params.rho**2) * eps[..., 0] + params.rho * eps[..., 1]
+    )
+    return np.stack([_closed_form(u0[..., 0], u1[..., 0], aug, noise), y], axis=-1)
 
 
 def test_bridge_empty_for_single_step():
@@ -160,12 +185,13 @@ def test_bridge_empty_for_single_step():
 
 def test_bridge_last_step_deterministic():
     # With M = 2 the single auxiliary point is random, but the recursion's
-    # final coefficient sqrt(0/1) pins the next point at the endpoint;
-    # verify by running the recursion one step beyond: coefficient is 0.
+    # final coefficient sqrt(0/1) pins the next point at the endpoint: the
+    # walk's last step is the increment to the endpoint.
     u0, u1 = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-    aux = _unit_fill(u0, u1, 2, 0.01, 4)
-    # reconstruct the would-be final move: (u1 - aux)/1 + sqrt(0/1)*eps = u1 exactly
-    final = aux[-1] + (u1 - aux[-1]) / 1.0
+    eps = RngStream(4).generator().standard_normal((1, 1, 2)) * np.sqrt(0.01)
+    aux = bridge_points(u0, u1, UNIT, eps[0])[1:-1]
+    *_, last = modified_bridge_walk(u0, u1, UNIT, eps)
+    final = aux[-1] + np.concatenate([last.dx, last.dy])
     assert np.array_equal(final, u1)
 
 
@@ -199,34 +225,21 @@ def test_bridge_variance_profile():
 def test_modified_bridge_reduces_to_plain_when_diffusion_is_identity():
     u0, u1 = np.array([0.1, -0.2]), np.array([0.4, 0.3])
     eps = RngStream(8).generator().standard_normal((64, 5, 2)) * 0.1
-    plain = _plain_fill(u0, u1, 6, eps)
-    scaled = modified_bridge_fill(u0, u1, 6, UNIT, eps=eps)
+    plain = np.stack([_closed_form(u0[i], u1[i], 6, eps[..., i]) for i in range(2)], axis=-1)
+    scaled = bridge_points(u0, u1, UNIT, eps)[..., 1:-1, :]
     assert np.allclose(plain, scaled, atol=1e-9)
 
 
 def test_modified_bridge_y_component_matches_plain():
-    # The diffusion matrix's second row is (0, 1): the y fill is the plain
-    # bridge of e_y, bitwise, which the y-only fill of the drift solver's
-    # variance system relies on.
+    # The diffusion matrix's second row is (0, 1): the y walk is the plain
+    # bridge of e_y, bitwise, whatever the parameters, which the variance
+    # system of the drift solver relies on.
     eps = RngStream(9).generator().standard_normal((32, 7, 2)) * 0.05
     u0, u1 = np.array([0.0, -1.4]), np.array([0.05, -1.1])
-    plain = bridge_path(u0[1], u1[1], 8, eps[..., 1])
+    plain = bridge_points(u0, u1, UNIT, eps)[..., 1]
     for params in (LN_PARAMS, NL_PARAMS):
-        scaled = modified_bridge_fill(u0, u1, 8, params, eps=eps)
+        scaled = bridge_points(u0, u1, params, eps)
         assert np.array_equal(plain, scaled[..., 1])
-
-
-def _loop_fill(u0, u1, aug, eps, sigma, rho):
-    """Reference: the modified-bridge recursion stepped point by point."""
-    current = np.array(u0, dtype=float)
-    out = np.empty((aug - 1, 2))
-    for m in range(aug - 1):
-        remain = aug - m
-        s = np.exp(0.5 * sigma * current[1])
-        noise = np.array([s * (np.sqrt(1 - rho**2) * eps[m, 0] + rho * eps[m, 1]), eps[m, 1]])
-        current = current + (u1 - current) / remain + np.sqrt((remain - 1) / remain) * noise
-        out[m] = current
-    return out
 
 
 _coord = st.floats(-3.0, 3.0)
@@ -242,15 +255,23 @@ _coord = st.floats(-3.0, 3.0)
 )
 @settings(max_examples=150, deadline=None)
 def test_closed_form_fill_matches_recursion(u0, u1, aug, sigma, rho, seed):
+    # The walk's running sums match the closed form in both coordinates,
+    # its Y path ignores sigma and rho, and its last step lands exactly on
+    # u1: the increment from the point the walk reached (at M = 1, with no
+    # innovations, the whole interval).
     p = dataclasses.replace(LN_PARAMS, sigma=sigma, rho=rho)
     u0, u1 = np.array(u0), np.array(u1)
     delta = 1 / (262 * aug)
-    eps = np.random.default_rng(seed).standard_normal((aug - 1, 2)) * np.sqrt(delta)
-    scaled = modified_bridge_fill(u0, u1, aug, p, eps=eps)
-    assert scaled.shape == (aug - 1, 2)
+    eps = np.random.default_rng(seed).standard_normal((3, aug - 1, 2)) * np.sqrt(delta)
+    points = bridge_points(u0, u1, p, eps)
+    assert points.shape == (3, aug + 1, 2)
     np.testing.assert_allclose(
-        scaled, _loop_fill(u0, u1, aug, eps, sigma, rho), rtol=1e-12, atol=1e-12
+        points[:, 1:-1], _closed_form_fill(u0, u1, aug, p, eps), rtol=1e-12, atol=1e-12
     )
-    # y has unit diffusion: its fill ignores sigma and rho entirely.
-    assert np.array_equal(bridge_path(u0[1], u1[1], aug, eps[..., 1]), scaled[..., 1])
-
+    # y has unit diffusion: its walk ignores sigma and rho entirely.
+    assert np.array_equal(bridge_points(u0, u1, UNIT, eps)[..., 1], points[..., 1])
+    *_, last = modified_bridge_walk(u0, u1, p, eps[:, None])
+    assert last.dx.shape == (3, 1)
+    reached = points[:, -2]
+    assert np.array_equal(last.dx[:, 0], u1[0] - reached[:, 0])
+    assert np.array_equal(last.dy[:, 0], u1[1] - reached[:, 1])
