@@ -25,12 +25,9 @@ from .likelihood import (
     total_loglik,
 )
 from .model import (
-    dampening,
     drift_p,
-    excess_drift_f,
     gamma_transform,
     iv_to_v,
-    market_price_of_risk,
     swap_coefficients,
     v_to_iv,
 )

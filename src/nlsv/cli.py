@@ -45,8 +45,6 @@ class RunConfig:
     input: str = ""
     # model
     model: str = "both"  # LN | NL | both
-    rate: float = 0.05
-    dampening_c: float = 1e-6
     # estimation budgets
     M: int = 24
     S: int = 576
@@ -112,8 +110,6 @@ class RunConfig:
             mc_draws=self.S,
             n_bridges=self.n_bridges or None,
             seed=self.seed,
-            rate=self.rate,
-            dampening_c=self.dampening_c,
             max_iter=self.max_iter,
             restarts=self.restarts,
             min_obs=self.min_obs,
@@ -141,8 +137,6 @@ class RunConfig:
             b1=self.b1,
             b2=self.b2,
             b3=self.b3,
-            r=self.rate,
-            c=self.dampening_c,
         ).validate()
 
     def families(self) -> list[Family]:

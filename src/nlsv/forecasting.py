@@ -45,8 +45,8 @@ from .model import (
     SWAP_TENOR_YEARS,
     exp_averages,
     iv_to_v,
-    market_price_of_risk,
     swap_coefficients,
+    variance_drift,
 )
 from .params import OUTER, DomainViolation, Family, Measure, ModelSpec, ParamVector
 from .rng import RngStream
@@ -424,19 +424,17 @@ class ForecastReport:
 
 
 def risk_premium_series(
-    series: ObservedSeries,
-    params: ParamVector,
-    spec: ModelSpec,
-    swap_tenor: float | None = None,
+    series: ObservedSeries, params: ParamVector, spec: ModelSpec
 ) -> np.ndarray:
     """Variance risk premium along the implied instantaneous-variance path.
 
-    The second component of the market price of risk evaluated at each
-    date's implied V; constant for LN, state-dependent for NL.
+    The variance component of the market price of risk,
+    (mu_P - mu_Q)/(sigma V), at each date's implied V: constant
+    (b1 - b1_q)/sigma for LN, state-dependent for NL.
     """
-    tenor = SWAP_TENOR_YEARS if swap_tenor is None else swap_tenor
-    v = iv_to_v(series.iv, params, tenor)
-    return market_price_of_risk(v, params, spec)[1]
+    v = iv_to_v(series.iv, params)
+    excess = variance_drift(v, params, spec, Measure.P) - variance_drift(v, params, None, Measure.Q)
+    return excess / (params.sigma * v)
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,12 @@
-"""Model mathematics: drifts under both measures, the dampening function,
-the market price of risk, the log-variance transform and the variance-swap
-coefficients tying the implied-variance index to instantaneous variance.
+"""Model mathematics: drifts under both measures, the log-variance
+transform and the variance-swap coefficients tying the implied-variance
+index to instantaneous variance.
 
 All functions accept scalar or ndarray variance inputs and broadcast.
 Conventions:
 
     mu_Q(V) = ( r - V/2,  b0_q + b1_q * V )
     mu_P(V) = ( a0 + a1 * V,  variance drift per family )
-    f(V)    = mu_P(V) - mu_Q(V)            (excess drift)
-    Sigma(V) = sqrt(V) * [[sqrt(1-rho^2), rho], [0, sigma*sqrt(V)]]
-    D(V)    = exp( -c/|det Sigma| - c * (|f_1| + |f_2|) )
-    Lambda  = Sigma^{-1} f, optionally multiplied by D
-
-The approach to nonlinear real-world drifts rests on the dampening factor
-D: it makes Lambda bounded so the change of measure is well defined, while
-being indistinguishable from 1 at double precision on any compact variance
-set for small c.  Numerical work therefore defaults to the undampened
-drifts.
 """
 
 from __future__ import annotations
@@ -100,76 +90,6 @@ def drift_p(v, params: ParamVector, spec: ModelSpec) -> np.ndarray:
     )
 
 
-def excess_drift_f(v, params: ParamVector, spec: ModelSpec) -> np.ndarray:
-    """Excess drift f with mu_Q + f = mu_P, written in closed form.
-
-    First component: a0 - r + (a1 + 1/2) V for both families.  Second:
-    (b1 - b1_q) V for LN, and b0 - b0_q + (b1 - b1_q) V + b2 V^2 + b3 / V
-    for NL.
-    """
-    v = _check_variance(v)
-    top = params.a0 - params.r + (params.a1 + 0.5) * v
-    if spec.family is Family.LN:
-        bottom = (params.b1 - params.b1_q) * v
-    elif spec.family is Family.NL:
-        bottom = (
-            params.b0
-            - params.b0_q
-            + (params.b1 - params.b1_q) * v
-            + params.b2 * v * v
-            + params.b3 / v
-        )
-    else:
-        raise DomainViolation("RW has no drift model")
-    return np.stack([np.broadcast_to(top, v.shape).astype(float), np.broadcast_to(bottom, v.shape).astype(float)])
-
-
-def diffusion_det(v, params: ParamVector) -> np.ndarray:
-    """|det Sigma(V)| = sigma * V^{3/2} * sqrt(1 - rho^2)."""
-    v = _check_variance(v)
-    return params.sigma * v ** 1.5 * np.sqrt(1.0 - params.rho**2)
-
-
-def dampening(v, params: ParamVector, spec: ModelSpec, c: float | None = None) -> np.ndarray:
-    """Dampening factor D(V) in (0, 1].
-
-    D = exp(-c/|det Sigma| - c * sum_j |f_j|).  A single constant c is
-    shared by both penalty terms; it is configuration (default
-    ``params.c``), never estimated.
-    """
-    v = _check_variance(v)
-    cc = params.c if c is None else float(c)
-    if cc <= 0.0:
-        raise DomainViolation("dampening constant c must be > 0")
-    f = excess_drift_f(v, params, spec)
-    penalty = cc / diffusion_det(v, params) + cc * (np.abs(f[0]) + np.abs(f[1]))
-    return np.exp(-penalty)
-
-
-def market_price_of_risk(
-    v,
-    params: ParamVector,
-    spec: ModelSpec,
-    apply_dampening: bool = False,
-    c: float | None = None,
-) -> np.ndarray:
-    """Market price of risk Lambda = Sigma^{-1} f, optionally dampened.
-
-    Solved in closed form using the triangular structure of Sigma.  The
-    second component is the variance risk premium; for LN without
-    dampening it is the constant (b1 - b1_q) / sigma.
-    """
-    v = _check_variance(v)
-    f = excess_drift_f(v, params, spec)
-    sq = np.sqrt(v)
-    lam_v = f[1] / (params.sigma * v)
-    lam_x = (f[0] - params.rho * sq * lam_v) / (np.sqrt(1.0 - params.rho**2) * sq)
-    lam = np.stack([lam_x, lam_v])
-    if apply_dampening:
-        lam = lam * dampening(v, params, spec, c=c)
-    return lam
-
-
 def gamma_transform(v, sigma: float) -> np.ndarray:
     """Log-variance coordinate y = log(v) / sigma; bijective on v > 0."""
     v = _check_variance(v)
@@ -211,10 +131,11 @@ def swap_coefficients(params: ParamVector, delta: float) -> tuple[float, float]:
     return float(params.b0_q * delta * psi), float(phi)
 
 
-def v_to_iv(v, params: ParamVector, delta: float = SWAP_TENOR_YEARS) -> np.ndarray:
-    """Map instantaneous variance to the implied-variance proxy A + B*V."""
+def v_to_iv(v, params: ParamVector) -> np.ndarray:
+    """Map instantaneous variance to the implied-variance proxy A + B*V
+    at the one-month tenor."""
     v = _check_variance(v)
-    a, b = swap_coefficients(params, delta)
+    a, b = swap_coefficients(params, SWAP_TENOR_YEARS)
     return a + b * v
 
 

@@ -81,7 +81,9 @@ class ParamVector:
     Units are annualized: drifts are per year, sigma per sqrt(year).
     ``b0``, ``b2``, ``b3`` are meaningful only for the NL family; the LN
     variance drift intercept is ``b0_q`` itself.  ``r`` (short rate) and
-    ``c`` (dampening constant) are fixed configuration, never estimated.
+    ``c`` (dampening constant) enter no value the package outputs: ``r``
+    only the pricing-measure price drift, which no output reads, and ``c``
+    only :meth:`validate`.  They stay because the benchmark spells them.
     """
 
     sigma: float

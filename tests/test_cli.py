@@ -195,14 +195,17 @@ def test_non_integer_config_value_nonzero_exit(sim_dir, tmp_path, capsys, text):
         ("simulate", "start_date = notadate\n", {}, "start_date"),
         ("rolling", "horizons = 1,x\n", {}, "horizons"),
         ("rolling", "split_date = 1999-13-45\n", {}, "split_date"),
+        ("rolling", "rate = 0.11\n", {}, "rate"),
+        ("simulate", "dampening_c = 1e-6\n", {}, "dampening_c"),
     ],
-    ids=["NLSV_SEED", "start_date", "horizons", "split_date"],
+    ids=["NLSV_SEED", "start_date", "horizons", "split_date", "rate", "dampening_c"],
 )
 def test_unparseable_setting_nonzero_exit(
     sim_dir, tmp_path, capsys, monkeypatch, command, extra, env, key
 ):
-    # A setting that does not parse is an error naming its key, not a
-    # traceback, and rolling reports it before any fit runs.
+    # A setting that does not parse, or a key the program does not know,
+    # is an error naming its key, not a traceback, and rolling reports it
+    # before any fit runs.
     fits = []
     monkeypatch.setattr(nlsv.forecasting, "fit", lambda *args, **kw: fits.append(args))
     for name, value in env.items():

@@ -9,6 +9,12 @@ A parameter of a function, method or nested function that its body
 never reads is a setting with no effect: delete it.  Lambdas are exempt,
 because they implement an interface whose arguments they may ignore
 (a forecast's models at every origin, the identity Jacobian).
+
+A parameter with a default that no call in the package sets, by keyword
+or by position, has one value in production: fold the value into the
+body, or allow it below with the reason it stays.  Calls are matched by
+name, and a call to a class counts toward its ``__init__``.  Dataclass
+fields are out of scope, because the benchmark sets them.
 """
 
 import ast
@@ -89,3 +95,76 @@ def test_every_parameter_is_read():
         for name in _unread_parameters(path.stem, ast.parse(path.read_text()))
     ]
     assert unread == []
+
+
+#: Parameters with a default that no call in the package sets, each with
+#: the reason it stays.
+ONE_VALUE_ALLOWED = {
+    # The console entry point ``nlsv = "nlsv.cli:main"`` calls it with no
+    # argument, so argv always comes from sys.argv there.
+    "cli.main.argv",
+    # The rolling tests warm-start their in-sample fits with it.
+    "forecasting.rolling_evaluation.init",
+}
+
+
+def _defaulted(tree: ast.Module, stem: str):
+    """Every ``def`` with its qualified name, call name, the names of its
+    parameters that callers fill by position, and its parameters that have
+    a default.  A method's ``self`` or ``cls`` is not filled by position
+    (the package has no static methods), and a class's ``__init__`` is
+    called by the class's name."""
+    def walk(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}.{child.name}", child.name)
+            elif isinstance(child, ast.FunctionDef):
+                qualified = f"{prefix}.{child.name}"
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args][bool(in_class):]
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                called_as = in_class if child.name == "__init__" else child.name
+                yield qualified, called_as, positional, with_default
+                yield from walk(child, qualified, None)
+            else:
+                yield from walk(child, prefix, in_class)
+
+    yield from walk(tree, stem, None)
+
+
+def test_every_default_is_overridden_somewhere():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # Per called name: how many positional arguments some call passes
+    # (a starred one fills them all) and which keywords calls set (None
+    # stands for a ``**`` mapping, which may set any of them).
+    n_positional: dict[str, int] = {}
+    keywords: dict[str, set] = {}
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = float("inf") if starred else len(node.args)
+            n_positional[name] = max(n_positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    never_set = [
+        f"{qualified}.{param}"
+        for stem, tree in trees.items()
+        for qualified, called_as, positional, with_default in _defaulted(tree, stem)
+        for param in with_default
+        if not (
+            param in positional and positional.index(param) < n_positional.get(called_as, 0)
+            or keywords.get(called_as, set()) & {param, None}
+        )
+        and f"{qualified}.{param}" not in ONE_VALUE_ALLOWED
+    ]
+    assert never_set == []

@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from nlsv.forecasting import risk_premium_series
 from nlsv.model import (
-    dampening,
-    diffusion_det,
     drift_p,
-    excess_drift_f,
     gamma_transform,
     iv_to_v,
-    market_price_of_risk,
     price_drift,
     swap_coefficients,
     v_to_iv,
@@ -22,7 +19,7 @@ from nlsv.model import (
 )
 from nlsv.params import DomainViolation, Measure, ParamVector
 
-from conftest import LN, LN_PARAMS, NL, NL_PARAMS, RW
+from conftest import LN, LN_PARAMS, NL, NL_PARAMS, RW, make_series
 
 TENOR = 22 / 262
 
@@ -76,19 +73,69 @@ def test_nl_nests_ln():
     assert np.allclose(drift_p(v, nested, NL), drift_p(v, nested, LN), rtol=1e-14)
 
 
+# ------------------------------------------- the paper's change of measure
+#
+# The paper proves that weak solutions exist under P with the dampened
+# market price of risk Lambda = D * Sigma^{-1} f, where f = mu_P - mu_Q is
+# the excess drift, Sigma(V) = sqrt(V) [[sqrt(1-rho^2), rho], [0, sigma
+# sqrt(V)]] and D(V) = exp(-c/|det Sigma| - c (|f_1| + |f_2|)).  D keeps
+# Lambda bounded, so the change of measure is well defined, yet it is
+# indistinguishable from 1 at double precision on any compact variance set
+# for small c.  The numerics therefore use the undampened drifts, and the
+# package computes only the variance component of Lambda, from the drifts
+# themselves (``risk_premium_series``).  These references keep the paper's
+# statements about f, D and Lambda checked.
+
+
+def _excess_drift(v, params, spec):
+    """f = mu_P - mu_Q in closed form: a0 - r + (a1 + 1/2) V for the price,
+    (b1 - b1_q) V for LN and b0 - b0_q + (b1 - b1_q) V + b2 V^2 + b3/V for
+    NL."""
+    v = np.asarray(v, dtype=float)
+    top = params.a0 - params.r + (params.a1 + 0.5) * v
+    if spec is LN:
+        bottom = (params.b1 - params.b1_q) * v
+    else:
+        bottom = (
+            params.b0 - params.b0_q + (params.b1 - params.b1_q) * v
+            + params.b2 * v * v + params.b3 / v
+        )
+    return np.stack([top, bottom])
+
+
+def _dampening(v, params, spec, c):
+    """D(V) = exp(-c/|det Sigma| - c (|f_1| + |f_2|)), in (0, 1]."""
+    det = params.sigma * v ** 1.5 * np.sqrt(1.0 - params.rho**2)
+    f = _excess_drift(v, params, spec)
+    return np.exp(-c / det - c * (np.abs(f[0]) + np.abs(f[1])))
+
+
+def _market_price_of_risk(v, params, spec, c=None):
+    """Lambda = Sigma^{-1} f by the triangular structure of Sigma, times
+    D(V) at constant ``c`` when one is given."""
+    f = _excess_drift(v, params, spec)
+    sq = np.sqrt(v)
+    lam_v = f[1] / (params.sigma * v)
+    lam_x = (f[0] - params.rho * sq * lam_v) / (np.sqrt(1.0 - params.rho**2) * sq)
+    lam = np.stack([lam_x, lam_v])
+    if c is not None:
+        lam = lam * _dampening(v, params, spec, c)
+    return lam
+
+
 @given(v=st.floats(1e-4, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_measure_change_identity(v):
     for params, spec in ((LN_PARAMS, LN), (NL_PARAMS, NL)):
         lhs = np.array([params.r - v / 2, params.b0_q + params.b1_q * v])
-        lhs = lhs + excess_drift_f(v, params, spec)
+        lhs = lhs + _excess_drift(v, params, spec)
         rhs = drift_p(v, params, spec)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
 def test_excess_f_ln_variance_component():
     v = np.array([0.01, 0.05, 0.2])
-    f = excess_drift_f(v, LN_PARAMS, LN)
+    f = _excess_drift(v, LN_PARAMS, LN)
     assert np.allclose(f[1], (LN_PARAMS.b1 - LN_PARAMS.b1_q) * v, rtol=1e-14)
 
 
@@ -96,54 +143,51 @@ def test_excess_f_vanishes_when_p_equals_q():
     p = dataclasses.replace(
         NL_PARAMS, a0=NL_PARAMS.r, a1=-0.5, b0=NL_PARAMS.b0_q, b1=NL_PARAMS.b1_q, b2=0.0, b3=0.0
     )
-    f = excess_drift_f(np.linspace(0.01, 0.1, 7), p, NL)
+    f = _excess_drift(np.linspace(0.01, 0.1, 7), p, NL)
     assert np.allclose(f, 0.0, atol=1e-15)
-
-
-# ------------------------------------------------------------ dampening
 
 
 def test_dampening_range_on_compact_set():
     # Grid oracle: the largest c keeping D in (0.9, 1) on V in [0.01, 0.1]
     # at the NL anchor values is about 1.6e-4; c = 1e-4 satisfies it.
     v = np.linspace(0.01, 0.1, 200)
-    d = dampening(v, NL_PARAMS, NL, c=1e-4)
+    d = _dampening(v, NL_PARAMS, NL, c=1e-4)
     assert np.all(d > 0.9) and np.all(d < 1.0)
 
 
 def test_dampening_c001_values_match_direct_formula():
     v = np.array([0.01, 0.04, 0.1])
-    f = excess_drift_f(v, NL_PARAMS, NL)
-    expected = np.exp(-0.01 / diffusion_det(v, NL_PARAMS) - 0.01 * np.abs(f).sum(axis=0))
-    assert np.allclose(dampening(v, NL_PARAMS, NL, c=0.01), expected, rtol=1e-14)
+    p = NL_PARAMS
+    det = p.sigma * v * np.sqrt(v) * np.sqrt(1.0 - p.rho**2)
+    f_x = p.a0 - p.r + (p.a1 + 0.5) * v
+    f_v = drift_p(v, p, NL)[1] - (p.b0_q + p.b1_q * v)
+    expected = np.exp(-0.01 / det - 0.01 * (np.abs(f_x) + np.abs(f_v)))
+    assert np.allclose(_dampening(v, p, NL, c=0.01), expected, rtol=1e-14)
 
 
 def test_dampening_to_one_as_c_vanishes():
     v = np.linspace(0.01, 0.2, 50)
     prev = np.zeros_like(v)
     for c in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        d = dampening(v, NL_PARAMS, NL, c=c)
+        d = _dampening(v, NL_PARAMS, NL, c=c)
         assert np.all(d >= prev)  # monotone non-increasing in c
         prev = d
     assert np.all(1.0 - prev < 1e-4)
 
 
 def test_dampening_vanishes_at_zero_boundary():
-    assert dampening(1e-12, NL_PARAMS, NL, c=1e-6) < 1e-300
+    assert _dampening(1e-12, NL_PARAMS, NL, c=1e-6) < 1e-300
 
 
 def test_dampening_in_unit_interval():
     v = np.exp(np.random.default_rng(0).uniform(np.log(1e-6), np.log(10.0), 500))
-    d = dampening(v, NL_PARAMS, NL, c=1e-6)
+    d = _dampening(v, NL_PARAMS, NL, c=1e-6)
     assert np.all(d > 0.0) and np.all(d <= 1.0)
-
-
-# ------------------------------------------------- market price of risk
 
 
 def test_ln_premium_constant_and_value():
     v = np.linspace(0.005, 0.5, 101)
-    lam = market_price_of_risk(v, LN_PARAMS, LN)
+    lam = _market_price_of_risk(v, LN_PARAMS, LN)
     premium = (LN_PARAMS.b1 - LN_PARAMS.b1_q) / LN_PARAMS.sigma
     assert np.max(lam[1]) - np.min(lam[1]) < 1e-12
     assert lam[1][0] == pytest.approx(premium, rel=1e-12)
@@ -155,14 +199,14 @@ def test_market_price_solves_linear_system():
     rng = np.random.default_rng(42)
     for params, spec in ((LN_PARAMS, LN), (NL_PARAMS, NL)):
         for v in rng.uniform(0.005, 0.4, 25):
-            for damp in (False, True):
-                lam = market_price_of_risk(v, params, spec, apply_dampening=damp)
+            for c in (None, params.c):
+                lam = _market_price_of_risk(v, params, spec, c)
                 sq = np.sqrt(v)
                 root = np.sqrt(1.0 - params.rho**2)
                 sig = np.array([[root * sq, params.rho * sq], [0.0, params.sigma * v]])
-                target = excess_drift_f(v, params, spec)
-                if damp:
-                    target = target * dampening(v, params, spec)
+                target = _excess_drift(v, params, spec)
+                if c is not None:
+                    target = target * _dampening(v, params, spec, c)
                 oracle = np.linalg.solve(sig, target)
                 assert np.allclose(lam, oracle, rtol=1e-11, atol=1e-13)
 
@@ -171,15 +215,23 @@ def test_market_price_zero_when_f_zero():
     p = dataclasses.replace(
         LN_PARAMS, a0=LN_PARAMS.r, a1=-0.5, b1=LN_PARAMS.b1_q
     )
-    lam = market_price_of_risk(np.linspace(0.01, 0.3, 9), p, LN)
+    lam = _market_price_of_risk(np.linspace(0.01, 0.3, 9), p, LN)
     assert np.allclose(lam, 0.0, atol=1e-15)
 
 
 def test_dampened_matches_undampened_for_tiny_c():
     v = np.linspace(0.02, 0.2, 11)
-    lam0 = market_price_of_risk(v, NL_PARAMS, NL, apply_dampening=False)
-    lam1 = market_price_of_risk(v, NL_PARAMS, NL, apply_dampening=True, c=1e-13)
+    lam0 = _market_price_of_risk(v, NL_PARAMS, NL)
+    lam1 = _market_price_of_risk(v, NL_PARAMS, NL, c=1e-13)
     assert np.allclose(lam0, lam1, rtol=1e-9)
+
+
+@pytest.mark.parametrize("params, spec", [(LN_PARAMS, LN), (NL_PARAMS, NL)], ids=["LN", "NL"])
+def test_risk_premium_series_is_the_variance_row_of_lambda(params, spec):
+    series = make_series(params, spec, 120, 24)
+    v = iv_to_v(series.iv, params)
+    expected = _market_price_of_risk(v, params, spec)[1]
+    assert np.allclose(risk_premium_series(series, params, spec), expected, rtol=1e-13, atol=0)
 
 
 # ----------------------------------------------------- gamma transform
@@ -287,7 +339,7 @@ def test_iv_v_round_trip():
     rng = np.random.default_rng(3)
     iv = rng.uniform(0.01, 0.3, 50)
     v = iv_to_v(iv, LN_PARAMS, TENOR)
-    assert np.allclose(v_to_iv(v, LN_PARAMS, TENOR), iv, rtol=1e-12)
+    assert np.allclose(v_to_iv(v, LN_PARAMS), iv, rtol=1e-12)
 
 
 def test_iv_to_v_table_anchor():
