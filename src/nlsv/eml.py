@@ -25,7 +25,10 @@ the leverage correlation.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +109,45 @@ def chunk_intervals(n_draws: int, aug_steps: int) -> int:
     return max(1, CHUNK_POINTS // (n_draws * (aug_steps + 1)))
 
 
+#: Threads that walk the chunks: the CPUs this process may run on.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+#: Lattice points per worker below which a call walks its chunks on the
+#: calling thread: numpy keeps the interpreter lock on small arrays, so
+#: small blocks contend for it.  At two workers, threads lost or tied on
+#: calls of up to 432k points and won from 461k.
+POOL_POINTS = 250_000
+
+
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide pool, created on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="nlsv-chunks")
+
+
+def map_chunks(
+    block: Callable[[int, int], np.ndarray], n_intervals: int, n_draws: int, aug_steps: int
+) -> list[np.ndarray]:
+    """``block(lo, hi)`` over consecutive blocks of intervals 0 .. n-1, in
+    index order: chunks on the calling thread, or, from ``POOL_POINTS``
+    lattice points (n * n_draws * (aug_steps + 1)) per worker, blocks of
+    at most a ``WORKERS``-th of a chunk and of the call on ``WORKERS``
+    threads, which overlap where numpy releases the interpreter lock.
+    Either way at most ``CHUNK_POINTS`` points are in flight.  ``block``
+    must give each interval's part independently of its block, and set
+    numpy's error state itself: pool threads do not inherit the caller's.
+    """
+    chunk = chunk_intervals(n_draws, aug_steps)
+    if WORKERS > 1 and n_intervals * n_draws * (aug_steps + 1) >= POOL_POINTS * WORKERS:
+        size = max(1, min(chunk // WORKERS, -(-n_intervals // WORKERS)))
+        return list(_pool(WORKERS).map(
+            lambda lo: block(lo, min(lo + size, n_intervals)), range(0, n_intervals, size)
+        ))
+    return [block(lo, min(lo + chunk, n_intervals)) for lo in range(0, n_intervals, chunk)]
+
+
 def assemble_system(
     x_obs: Sequence[float],
     y_obs: Sequence[float],
@@ -130,10 +172,11 @@ def assemble_system(
 
     The walks of an interval are drawn from the substream keyed by its
     absolute index, and per-interval sums are reduced in index order, so
-    the result is independent of any processing partition.  Intervals are
-    processed ``chunk_intervals(n_bridges, aug_steps)`` at a time, so
-    memory is bounded by ``CHUNK_POINTS`` lattice points; without a
-    pre-drawn ``eps`` the innovations are drawn chunk by chunk too.
+    the result is independent of any processing partition.
+    :func:`map_chunks` walks blocks of intervals, on ``WORKERS`` threads
+    from ``POOL_POINTS`` lattice points per worker, so memory is bounded
+    by ``CHUNK_POINTS`` lattice points in flight; without a pre-drawn
+    ``eps`` the innovations are drawn block by block too.
     """
     x_obs = np.asarray(x_obs, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
@@ -142,37 +185,36 @@ def assemble_system(
         raise DomainViolation("need at least 3 observations to assemble the system")
     if n_bridges < 1:
         raise DomainViolation("n_bridges must be >= 1")
-    chunk = chunk_intervals(n_bridges, aug_steps)
     delta = delta_obs / aug_steps
     u = np.stack([x_obs, y_obs], axis=-1)
 
     idx = np.arange(1, n_intervals)
-    gram_parts, moment_parts = [], []
-    for lo in range(0, len(idx), chunk):
-        block = idx[lo : lo + chunk]
+
+    def block_sums(lo: int, hi: int) -> np.ndarray:
+        block = idx[lo:hi]
         eps_blk = (                      # (B, R, M-1, 2)
-            eps[lo : lo + chunk] if eps is not None
+            eps[lo:hi] if eps is not None
             else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
         )
         sums = 0.0                       # (B, L+1, L): Gram rows, then moments
-        # Overflow of the state transform is reported just below.
+        # Overflow of the state transform is reported below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for step in modified_bridge_walk(u[block], u[block + 1], params, eps_blk):
                 rows = regression(step, delta)
                 sums = sums + rows @ rows[:, :-1].transpose(0, 2, 1)
-        finite = np.isfinite(sums).all(axis=(1, 2))
-        if not np.all(finite):
-            raise DomainViolation(
-                f"non-finite basis evaluation on interval(s) {block[~finite][:5].tolist()}; "
-                "state transform overflowed"
-            )
-        gram_parts.append(delta * sums[:, :-1] / n_bridges)
-        moment_parts.append(sums[:, -1] / n_bridges)
+        return sums
 
-    gram = np.concatenate(gram_parts).sum(axis=0)
+    sums = np.concatenate(map_chunks(block_sums, len(idx), n_bridges, aug_steps))
+    finite = np.isfinite(sums).all(axis=(1, 2))
+    if not np.all(finite):
+        raise DomainViolation(
+            f"non-finite basis evaluation on interval(s) {idx[~finite][:5].tolist()}; "
+            "state transform overflowed"
+        )
+    gram = (delta * sums[:, :-1] / n_bridges).sum(axis=0)
     # Exact symmetry: keep the upper triangle, mirror it down.
     gram = np.triu(gram) + np.triu(gram, k=1).T
-    moment = np.concatenate(moment_parts).sum(axis=0)
+    moment = (sums[:, -1] / n_bridges).sum(axis=0)
     return LinearSystem(gram=gram, moment=moment)
 
 

@@ -38,7 +38,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .data_io import ObservedSeries, split
-from .eml import IllConditionedSystem
 from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
@@ -200,7 +199,7 @@ def _euler_variance_moments(
     variance) shocks, so the V paths are bitwise those of
     :func:`nlsv.simulate.simulate_paths` on the same stream.  The integral
     is the Euler X drift term: x + a0*t + a1*integral is the Euler X mean
-    without its noise term."""
+    without its noise term.  An explosive drift raises DomainViolation."""
     if n_paths < 1:
         raise DomainViolation("n_paths must be >= 1")
     gen = rng.generator()
@@ -208,10 +207,13 @@ def _euler_variance_moments(
     y = np.full(n_paths, math.log(v0) / params.sigma)
     means = np.empty(max_h * steps_per_day + 1)
     means[0] = np.exp(params.sigma * y).mean()
-    for step in range(1, len(means)):
-        eps_y = gen.standard_normal((n_paths, 2))[:, 1] * sqrt_dt
-        y = y_step(y, params, spec, Measure.P, dt, eps_y)
-        means[step] = np.exp(params.sigma * y).mean()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for step in range(1, len(means)):
+            eps_y = gen.standard_normal((n_paths, 2))[:, 1] * sqrt_dt
+            y = y_step(y, params, spec, Measure.P, dt, eps_y)
+            means[step] = np.exp(params.sigma * y).mean()
+    if not np.all(np.isfinite(means)):
+        raise DomainViolation("NL variance means overflow; the drift is explosive")
     integrals = dt * np.concatenate(([0.0], np.cumsum(means[:-1])))
     return means[::steps_per_day], integrals[::steps_per_day]
 
@@ -526,11 +528,11 @@ def rolling_evaluation(
     of them when that is 0 (an expanding window with anchored start),
     warm-starting from the previous estimates.
     Returns the report, the per-date parameter paths, and the in-sample
-    fits.  A refit that raises DomainViolation (too few observations, no
-    feasible parameter point, or a likelihood that is not finite near the
-    optimum) or IllConditionedSystem (a singular sandwich Hessian) is
-    recorded in its parameter path entry and the previous estimates are
-    carried forward; any other exception propagates.
+    fits.  Refits skip the sandwich, as only their estimates and
+    log-likelihoods are read.  A refit that raises DomainViolation (too
+    few observations or no feasible parameter point) is recorded in its
+    parameter path entry and the previous estimates are carried forward;
+    any other exception propagates.
     """
     sp = split(series, split_date)
     n_in = sp.split_index
@@ -558,13 +560,13 @@ def rolling_evaluation(
                 warm = {k: getattr(current_params[name], k) for k in OUTER}
                 entry = {"date": str(series.dates[origin]), "model": name}
                 try:
-                    res = fit(window, spec, lik_config, init=warm)
+                    res = fit(window, spec, lik_config, init=warm, errors=False)
                     current_params[name] = res.params
                     entry["params"] = {
                         k: getattr(res.params, k) for k in res.param_names
                     }
                     entry["loglik"] = res.loglik
-                except (DomainViolation, IllConditionedSystem) as exc:
+                except DomainViolation as exc:
                     # The window admits no estimate: carry forward, record.
                     entry["error"] = f"{type(exc).__name__}: {exc}"
                 param_paths.append(entry)

@@ -57,7 +57,9 @@ class LikelihoodConfig:
     size (config key ``S``); the default pairing keeps S = M^2 = 576.
     Memory is bounded by the budgets alone: the drift solves and the
     likelihood evaluate ``eml.chunk_intervals`` intervals at a time, at
-    most ``eml.CHUNK_POINTS`` lattice points.
+    most ``eml.CHUNK_POINTS`` lattice points.  From ``eml.POOL_POINTS``
+    points per worker, ``eml.WORKERS`` threads (one per CPU this process
+    may use) share those points, with bitwise the same results.
     """
 
     aug_steps: int = 24
@@ -264,12 +266,13 @@ def total_loglik(
 
     Per-interval draws come from ``rng.substream(i)``, so the value does
     not depend on how intervals are partitioned across workers.
-    Intervals are evaluated ``eml.chunk_intervals(mc_draws, aug_steps)``
-    at a time, each chunk's S walks step by step, so memory is bounded by
-    ``eml.CHUNK_POINTS`` lattice points for the innovations and a
-    (chunk, S) array per step; without a pre-drawn ``eps`` the innovations
-    are drawn chunk by chunk too.  At M = 1 there are none, and each
-    interval's density is the Euler density of its one step.
+    :func:`nlsv.eml.map_chunks` evaluates blocks of intervals, their S
+    walks step by step, on ``eml.WORKERS`` threads from ``eml.POOL_POINTS``
+    lattice points per worker, so memory is bounded by ``eml.CHUNK_POINTS``
+    lattice points in flight and a (block, S) array per step; without a
+    pre-drawn ``eps`` the innovations are drawn block by block too.  At
+    M = 1 there are none, and each interval's density is the Euler
+    density of its one step.
     """
     try:
         x, y = series_to_lattice_coords(series, params, config.swap_tenor)
@@ -282,19 +285,16 @@ def total_loglik(
     u = np.stack([x, y], axis=-1)
 
     delta = config.delta_obs / config.aug_steps
-    chunk = eml.chunk_intervals(config.mc_draws, config.aug_steps)
-    logp = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        if eps is not None:
-            eps_blk = eps[lo:hi]
-        else:
-            eps_blk = eml.draw_bridge_eps(
-                rng, np.arange(lo, hi), config.mc_draws, config.aug_steps, delta
-            )
-        logp[lo:hi] = _log_mean_weight(
+
+    def block_logp(lo: int, hi: int) -> np.ndarray:
+        eps_blk = eps[lo:hi] if eps is not None else eml.draw_bridge_eps(
+            rng, np.arange(lo, hi), config.mc_draws, config.aug_steps, delta
+        )
+        return _log_mean_weight(
             _sml_batch(u[lo:hi], u[lo + 1 : hi + 1], params, spec, config, eps_blk)
         )
+
+    logp = np.concatenate(eml.map_chunks(block_logp, n, config.mc_draws, config.aug_steps))
 
     if not np.all(np.isfinite(logp)):
         return (-np.inf, None) if return_contributions else -np.inf
@@ -418,6 +418,7 @@ def fit(
     spec: ModelSpec,
     config: LikelihoodConfig,
     init: dict[str, float] | None = None,
+    errors: bool = True,
 ) -> FitResult:
     """Nested spread of the estimation: derivative-free outer search over
     (sigma, rho, b0_q, b1_q) with closed-form drift coefficients inside.
@@ -425,7 +426,8 @@ def fit(
     The same random draws (keyed by ``config.seed``) are reused at every
     trial point so the simulated likelihood surface is smooth in the
     parameters.  Deterministic: identical (series, spec, config, init)
-    give identical results.
+    give identical results.  ``errors=False`` skips the sandwich, leaving
+    the covariance and ``std_errors`` empty, for callers that read neither.
     """
     if len(series.iv) < config.min_obs:
         raise DomainViolation(
@@ -482,7 +484,8 @@ def fit(
 
     # The objective is deterministic: its best value is -loglik at theta_star.
     theta_star = _profile_params(best.x, series, spec, config, base, rng_eml, eml_eps)
-    names, cov, se = sandwich_errors(series, theta_star, spec, config, sml_eps=sml_eps)
+    names, cov, se = (sandwich_errors(series, theta_star, spec, config, sml_eps=sml_eps)
+                      if errors else ((), np.empty((0, 0)), ()))
     return FitResult(
         params=theta_star,
         spec=spec,

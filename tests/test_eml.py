@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import threading
 from unittest import mock
 
 import numpy as np
@@ -305,6 +306,94 @@ def test_default_chunk_bounds_the_draws(monkeypatch):
     assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, n_bridges, RngStream(3, 9))
     assert len(sizes) == -(-(len(y) - 2) // chunk)
     assert max(sizes) == chunk
+
+
+def _pool_on(monkeypatch, workers):
+    """Map every call on ``workers`` threads, in blocks of
+    37 // ``workers`` intervals at ``_CHUNK_KW``'s budget and M = 4."""
+    monkeypatch.setattr(nlsv.eml, "WORKERS", workers)
+    monkeypatch.setattr(nlsv.eml, "POOL_POINTS", 1)
+    monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(37, 8, 4))
+
+
+def _on_threads(regression, names):
+    """``regression`` that records the names of the threads it runs on."""
+
+    def recorded(step, delta):
+        names.add(threading.current_thread().name)
+        return regression(step, delta)
+
+    return recorded
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_assembly_on_the_pool_is_bitwise_serial(monkeypatch, workers):
+    # Blocks walked on the pool threads draw from their intervals'
+    # substreams and are reduced in index order, so both systems equal the
+    # serial ones bitwise, on innovations drawn block by block or pre-drawn.
+    x, y, systems = _unchunked_systems()
+    eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), 8, 4, DELTA / 4)
+    _pool_on(monkeypatch, workers)
+    for reg, whole in systems:
+        for kw in ({}, {"eps": eps}):
+            names = set()
+            pooled = assemble_system(x, y, NL_PARAMS, DELTA, 4, _on_threads(reg, names),
+                                     **_CHUNK_KW, **kw)
+            assert np.array_equal(whole.gram, pooled.gram)
+            assert np.array_equal(whole.moment, pooled.moment)
+            assert names and all(n.startswith("nlsv-chunks") for n in names)
+
+
+def test_one_worker_never_creates_the_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("pool created")
+
+    x, y, systems = _unchunked_systems()
+    _pool_on(monkeypatch, 1)
+    monkeypatch.setattr(nlsv.eml, "_pool", no_pool)
+    for reg, whole in systems:
+        names = set()
+        inline = assemble_system(x, y, NL_PARAMS, DELTA, 4, _on_threads(reg, names), **_CHUNK_KW)
+        assert np.array_equal(whole.gram, inline.gram)
+        assert names == {threading.current_thread().name}
+
+
+def test_pool_overflow_in_a_late_block_raises_and_the_pool_goes_on(monkeypatch):
+    # Y = 1000 at observation 120 overflows s = exp(sigma*Y/2) in the walks
+    # of intervals 119 and 120, both in the block of intervals 109 .. 126.
+    # The error names them as the serial walk does, and the pool serves the
+    # next call.
+    x, y, systems = _unchunked_systems()
+    bad = y.copy()
+    bad[120] = 1e3
+    for reg, _ in systems:
+        with pytest.raises(DomainViolation) as serial:
+            assemble_system(x, bad, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
+        assert "interval(s) [119, 120]" in str(serial.value)
+    _pool_on(monkeypatch, 2)
+    for reg, whole in systems:
+        with pytest.raises(DomainViolation) as pooled:
+            assemble_system(x, bad, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
+        assert str(pooled.value) == str(serial.value)
+        after = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
+        assert np.array_equal(whole.gram, after.gram)
+
+
+def test_map_chunks_raises_the_first_failed_block_in_index_order(monkeypatch):
+    # An exception raised on a pool thread propagates out of the map; of
+    # several failed blocks, the earliest is raised, as inline.
+    _pool_on(monkeypatch, 2)
+
+    def block(lo, hi):
+        if lo >= 36:
+            raise DomainViolation(f"block {lo}")
+        return np.arange(lo, hi)
+
+    with pytest.raises(DomainViolation, match="block 36"):
+        nlsv.eml.map_chunks(block, 100, 8, 4)
+    parts = nlsv.eml.map_chunks(lambda lo, hi: np.arange(lo, hi), 100, 8, 4)
+    assert [len(p) for p in parts] == [18] * 5 + [10]
+    assert np.array_equal(np.concatenate(parts), np.arange(100))
 
 
 def test_duplicated_system_same_solution():

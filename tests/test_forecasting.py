@@ -1,11 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from nlsv import forecasting
 from nlsv.data_io import ObservedSeries
-from nlsv.eml import IllConditionedSystem
 from nlsv.forecasting import (
     CW_PAIRS,
     EvalConfig,
@@ -227,6 +227,22 @@ def test_nl_forecast_matches_joint_euler_simulation():
         assert got["rv"][h] == pytest.approx(mean_v[steps : (h + 1) * steps : steps].mean(), rel=1e-12)
 
 
+def test_explosive_nl_forecast_origin_is_skipped_without_a_warning():
+    # An NL fit with b2 > 0 and b3 < 0 (one rolling window's) overflows the
+    # explicit Euler step of Y: the origin is skipped, and no RuntimeWarning
+    # escapes on the way.
+    p = dataclasses.replace(NL_PARAMS, b2=4954.0, b3=-0.0012)
+    series = make_series(NL_PARAMS, NL, 40, 3)
+    report = ForecastReport()
+    config = EvalConfig(horizons=HorizonGrid(returns_iv=(1, 5), rv=(5,)), n_paths=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forecasting.forecast_origin(
+            report, series, "in", 10, {"NL": (p, NL)}, config, RngStream(0), 39, 22 / 262
+        )
+    assert report.cells == {}
+
+
 # --------------------------------------------------------------- metrics
 
 
@@ -402,15 +418,39 @@ def test_rolling_window_width_sets_the_refit_window(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize(
-    "exc",
-    [DomainViolation("window infeasible"), IllConditionedSystem(1e13)],
-)
-def test_rolling_records_typed_refit_failures(monkeypatch, exc):
-    _, paths, _ = _rolling_with_failing_refits(monkeypatch, exc)
+def test_rolling_records_typed_refit_failures(monkeypatch):
+    _, paths, _ = _rolling_with_failing_refits(monkeypatch, DomainViolation("window infeasible"))
     assert paths
-    assert all(p["error"].startswith(type(exc).__name__) for p in paths)
+    assert all(p["error"].startswith("DomainViolation") for p in paths)
     assert all("params" not in p for p in paths)
+
+
+def test_rolling_refits_skip_the_sandwich(monkeypatch):
+    # Refits compute no standard errors, and their estimates and
+    # log-likelihoods are those of the full fit; the in-sample fit keeps
+    # its errors.
+    real_fit = forecasting.fit
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((args, kw, real_fit(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(forecasting, "fit", spy)
+    series = make_series(LN_PARAMS, LN, 120, 19, v0=0.033)
+    init = {"LN": {"sigma": 2.2, "rho": -0.68, "b0_q": 0.058, "b1_q": 11.0}}
+    _, paths, fits = rolling_evaluation(
+        series, series.dates[89], [LN], _quick_lik_config(),
+        _quick_eval_config(refit_every=15), init=init,
+    )
+    (_, _, in_sample), *refits = calls
+    assert in_sample is fits["LN"] and set(in_sample.std_errors) == set(LN.param_names)
+    assert len(refits) == len(paths) == 2
+    for (args, kw, res), entry in zip(refits, paths):
+        assert res.std_errors == {} and res.covariance.shape == (0, 0)
+        full = real_fit(*args, **{**kw, "errors": True})
+        assert full.params == res.params and full.loglik == res.loglik
+        assert entry["loglik"] == res.loglik and set(full.std_errors) == set(LN.param_names)
 
 
 def test_rolling_refit_bug_propagates(monkeypatch):

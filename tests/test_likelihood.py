@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from nlsv import eml
+from nlsv import eml, likelihood
 from nlsv.likelihood import (
     LikelihoodConfig,
     _euler_log_norm,
@@ -468,13 +469,21 @@ def test_total_loglik_default_chunking_matches_explicit(monkeypatch):
     assert len(sizes) == -(-69 // 11) and max(sizes) == 11
 
 
-@pytest.mark.parametrize("stage", ["variance", "stock", "sml"])
-def test_paper_chunk_peak_memory_is_bounded(stage):
+@pytest.mark.parametrize(
+    "stage, chunks",
+    [pytest.param(stage, 1, id=stage) for stage in ("variance", "stock", "sml")]
+    + [pytest.param(stage, 2, id=f"{stage}-pool") for stage in ("variance", "stock", "sml")],
+)
+def test_paper_chunk_peak_memory_is_bounded(stage, chunks, monkeypatch):
     # One full chunk at the paper's budgets M = 24, S = 576, innovations
     # drawn before tracing: each stage walks the chunk step by step, so
     # its arrays are (B, R) per step, not a (B, L, R, M) lattice basis.
+    # Two chunks on two pool threads walk blocks of half a chunk, so the
+    # blocks in flight hold one chunk's points between them.
+    if chunks > 1:
+        monkeypatch.setattr(eml, "WORKERS", 2)
     cfg = LikelihoodConfig(aug_steps=24, mc_draws=576)
-    chunk = eml.chunk_intervals(cfg.mc_draws, cfg.aug_steps)
+    chunk = chunks * eml.chunk_intervals(cfg.mc_draws, cfg.aug_steps)
     delta = cfg.delta_obs / cfg.aug_steps
     series = make_series(NL_PARAMS, NL, chunk + 2, 17)
     if stage == "sml":
@@ -507,6 +516,69 @@ def test_paper_chunk_peak_memory_is_bounded(stage):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def _pool_on(monkeypatch, workers):
+    """Map every call on ``workers`` threads, in blocks of
+    7 // ``workers`` intervals at M = 3, S = 8."""
+    monkeypatch.setattr(eml, "WORKERS", workers)
+    monkeypatch.setattr(eml, "POOL_POINTS", 1)
+    monkeypatch.setattr(eml, "CHUNK_POINTS", 7 * 8 * 4)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_total_loglik_on_the_pool_is_bitwise_serial(monkeypatch, workers):
+    # On innovations drawn block by block or pre-drawn, the pool threads'
+    # log-likelihood and its contributions equal the serial ones bitwise.
+    series, whole = _unchunked_loglik()
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    serial = total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2), return_contributions=True)
+    eps = eml.draw_bridge_eps(RngStream(8, 2), np.arange(69), 8, 3, cfg.delta_obs / 3)
+    _pool_on(monkeypatch, workers)
+    names, batch = set(), likelihood._sml_batch
+
+    def recorded(*args):
+        names.add(threading.current_thread().name)
+        return batch(*args)
+
+    monkeypatch.setattr(likelihood, "_sml_batch", recorded)
+    for kw in ({}, {"eps": eps}):
+        assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2), **kw) == whole
+        total, contrib = total_loglik(
+            series, LN_PARAMS, LN, cfg, RngStream(8, 2), return_contributions=True, **kw
+        )
+        assert total == serial[0] and np.array_equal(contrib, serial[1])
+    assert names and all(n.startswith("nlsv-chunks") for n in names)
+
+
+def test_total_loglik_one_worker_never_creates_the_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("pool created")
+
+    series, whole = _unchunked_loglik()
+    _pool_on(monkeypatch, 1)
+    monkeypatch.setattr(eml, "_pool", no_pool)
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == whole
+
+
+def test_pool_underflow_in_a_late_block_is_minus_inf_and_the_pool_goes_on(monkeypatch):
+    # A price jump of 1e200 at observation 50 overflows the Euler quadratic
+    # form of intervals 49 and 50, in the block of intervals 48 .. 50: every
+    # weight of theirs is zero, so the log-likelihood is -inf, as serially,
+    # and the pool serves the next call.
+    series, whole = _unchunked_loglik()
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    x = series.x.copy()
+    x[50] += 1e200
+    jumped = dataclasses.replace(series, x=x)
+    assert total_loglik(jumped, LN_PARAMS, LN, cfg, RngStream(8, 2)) == -np.inf
+    _pool_on(monkeypatch, 2)
+    assert total_loglik(jumped, LN_PARAMS, LN, cfg, RngStream(8, 2)) == -np.inf
+    assert total_loglik(
+        jumped, LN_PARAMS, LN, cfg, RngStream(8, 2), return_contributions=True
+    ) == (-np.inf, None)
+    assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == whole
 
 
 _LOG_WEIGHT = st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf))
