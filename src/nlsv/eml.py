@@ -44,9 +44,10 @@ COND_THRESHOLD = 1e12
 
 #: Lattice points in one chunk of intervals: the EML chunk of 128
 #: intervals at the paper's S = 576 walks of M + 1 = 25 points.  A chunk's
-#: innovations are twice this many floats and each array of one walk step
-#: CHUNK_POINTS/(M+1), so it bounds the memory of assembly and of the
-#: simulated likelihood at any budget.
+#: innovations are twice this many floats, (M-1, 2, B, R) step-major, and
+#: each array of one walk step, like each (B, R) slab of innovations it
+#: reads, CHUNK_POINTS/(M+1), so it bounds the memory of assembly and of
+#: the simulated likelihood at any budget.
 CHUNK_POINTS = 128 * 576 * 25
 
 
@@ -162,7 +163,7 @@ def assemble_system(
     """Accumulate the normal equations over intervals 1 .. N-1.
 
     Each chunk of B intervals is walked by the modified bridge of
-    ``params`` on its N(0, delta) innovations, shape (B, R, M-1, 2), and
+    ``params`` on its N(0, delta) innovations, shape (M-1, 2, B, R), and
     ``regression(step, delta)`` turns each :class:`BridgeStep` into its
     design rows, shape (B, L+1, R): the basis values f_l at the departing
     points, then the offsets g.  One product of these rows with the basis
@@ -189,11 +190,13 @@ def assemble_system(
     u = np.stack([x_obs, y_obs], axis=-1)
 
     idx = np.arange(1, n_intervals)
+    if eps is not None:
+        check_eps(eps, len(idx), n_bridges, aug_steps)
 
     def block_sums(lo: int, hi: int) -> np.ndarray:
         block = idx[lo:hi]
-        eps_blk = (                      # (B, R, M-1, 2)
-            eps[lo:hi] if eps is not None
+        eps_blk = (                      # (M-1, 2, B, R)
+            eps[:, :, lo:hi] if eps is not None
             else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
         )
         sums = 0.0                       # (B, L+1, L): Gram rows, then moments
@@ -221,20 +224,31 @@ def assemble_system(
 def draw_bridge_eps(
     rng: RngStream, interval_indices, n_draws: int, aug_steps: int, delta: float
 ) -> np.ndarray:
-    """N(0, delta) bridge innovations for a set of intervals.
+    """N(0, delta) bridge innovations for a set of intervals, step-major.
 
-    Shape (len(indices), n_draws, aug_steps - 1, 2); interval i's block
-    comes from ``rng.substream(i)`` regardless of its position, so any
-    partitioning of intervals across workers sees identical draws.
+    Shape (aug_steps - 1, 2, len(indices), n_draws), so that each step of
+    the walk reads two C-contiguous (intervals, draws) slabs.  Interval
+    i's draws are the (n_draws, aug_steps - 1, 2) block of
+    ``rng.substream(i)``, whatever its position, so any partitioning of
+    intervals across workers sees identical draws.
     """
     interval_indices = np.asarray(interval_indices, dtype=int)
-    out = np.empty((len(interval_indices), n_draws, aug_steps - 1, 2))
+    out = np.empty((aug_steps - 1, 2, len(interval_indices), n_draws))
     scale = np.sqrt(delta)
     for j, n in enumerate(interval_indices):
-        out[j] = rng.substream(int(n)).generator().standard_normal(
-            (n_draws, aug_steps - 1, 2)
-        ) * scale
+        block = rng.substream(int(n)).generator().standard_normal((n_draws, aug_steps - 1, 2))
+        np.multiply(block.transpose(1, 2, 0), scale, out=out[:, :, j])
     return out
+
+
+def check_eps(eps: np.ndarray, n_intervals: int, n_draws: int, aug_steps: int) -> None:
+    """Raise :class:`DomainViolation` unless pre-drawn innovations have the
+    shape :func:`draw_bridge_eps` gives these intervals and budgets."""
+    expected = (aug_steps - 1, 2, n_intervals, n_draws)
+    if eps.shape != expected:
+        raise DomainViolation(
+            f"innovations have shape {eps.shape}, expected (M-1, 2, intervals, draws) = {expected}"
+        )
 
 
 def solve_variance_drift(

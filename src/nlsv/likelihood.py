@@ -170,9 +170,9 @@ def _sml_batch(
     """Log importance weights of the simulated transition density, (..., S).
 
     ``u_from`` and ``u_to`` have shape (..., 2); ``eps`` holds the
-    N(0, delta) draws e_m, shape (..., S, M-1, 2).  With M = 1 it is
-    empty, the walk takes its one step and every weight is the Euler
-    density of the whole interval.
+    N(0, delta) draws e_m step-major, shape (M-1, 2, ..., S).  With M = 1
+    it is empty, the walk takes its one step and every weight is the
+    Euler density of the whole interval.
 
     Each draw walks the modified bridge from ``u_from`` to ``u_to``
     (:func:`nlsv.simulate.modified_bridge_walk`), so the residual of
@@ -188,6 +188,9 @@ def _sml_batch(
     with Q_m the Euler quadratic form of step m and the last step, from
     Y_{M-1} to the endpoint, carrying the only log-determinant left.  A
     step costs the walk's one exp, s = exp(sigma*Y_m/2), and no log.
+    The sum of e_m'e_m adds the (..., S) slabs elementwise in step order,
+    so a draw's value does not depend on the shape of the batch it is in;
+    an einsum reduction would choose its order from the array's strides.
     """
     m_total = config.aug_steps
     delta = config.delta_obs / m_total
@@ -195,7 +198,9 @@ def _sml_batch(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in modified_bridge_walk(u_from, u_to, params, eps):
             quad = quad + _euler_quad(step.dx, step.dy, step.s, params, spec, delta)
-        ee = np.einsum("...mk,...mk->...", eps, eps)
+        ee = 0.0
+        for e in eps.reshape((-1,) + eps.shape[2:]):
+            ee = ee + e * e
         logw = (
             0.5 * (ee / delta - quad) - 0.5 * params.sigma * step.y
             + (_euler_log_norm(params, delta) - math.log(m_total))
@@ -270,10 +275,13 @@ def total_loglik(
     walks step by step, on ``eml.WORKERS`` threads from ``eml.POOL_POINTS``
     lattice points per worker, so memory is bounded by ``eml.CHUNK_POINTS``
     lattice points in flight and a (block, S) array per step; without a
-    pre-drawn ``eps`` the innovations are drawn block by block too.  At
-    M = 1 there are none, and each interval's density is the Euler
-    density of its one step.
+    pre-drawn ``eps``, shape (M-1, 2, N, S) as
+    :func:`nlsv.eml.draw_bridge_eps` gives it, the innovations are drawn
+    block by block too.  At M = 1 there are none, and each interval's
+    density is the Euler density of its one step.
     """
+    if eps is not None:
+        eml.check_eps(eps, len(series.x) - 1, config.mc_draws, config.aug_steps)
     try:
         x, y = series_to_lattice_coords(series, params, config.swap_tenor)
     except DomainViolation:
@@ -287,7 +295,7 @@ def total_loglik(
     delta = config.delta_obs / config.aug_steps
 
     def block_logp(lo: int, hi: int) -> np.ndarray:
-        eps_blk = eps[lo:hi] if eps is not None else eml.draw_bridge_eps(
+        eps_blk = eps[:, :, lo:hi] if eps is not None else eml.draw_bridge_eps(
             rng, np.arange(lo, hi), config.mc_draws, config.aug_steps, delta
         )
         return _log_mean_weight(
@@ -393,9 +401,10 @@ _EPS_CACHE_LIMIT = 1_000_000_000
 
 
 def _cached_eps(rng: RngStream, indices: np.ndarray, n_draws: int, config: LikelihoodConfig):
-    """All innovations of the given intervals, empty at M = 1, or None
-    when they would exceed ``_EPS_CACHE_LIMIT`` bytes; callers then draw
-    chunk by chunk."""
+    """All innovations of the given intervals, step-major as
+    :func:`nlsv.eml.draw_bridge_eps` lays them out and empty at M = 1, or
+    None when they would exceed ``_EPS_CACHE_LIMIT`` bytes; callers then
+    draw chunk by chunk."""
     n_bytes = len(indices) * n_draws * (config.aug_steps - 1) * 2 * 8
     if n_bytes > _EPS_CACHE_LIMIT:
         return None

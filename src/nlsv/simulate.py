@@ -137,14 +137,16 @@ def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterat
     """Walk the modified bridge from ``u0`` to ``u1``, one step at a time.
 
     ``u0`` and ``u1`` are (..., 2) endpoints in (x, y) and ``eps`` the
-    N(0, delta) innovations e_0 .. e_{M-2}, shape (..., R, M-1, 2).  Steps
-    m = 0 .. M-2 follow the recursion of the module docstring, departing
-    from the state U_m whose s_m scales both the price noise and the
-    caller's basis; step M-1 is the increment u1 - U_{M-1}, so the walk
-    lands exactly on ``u1``.  At M = 1 there are no innovations and the
-    one step is the whole interval, repeated for each of the R walks.
+    N(0, delta) innovations e_0 .. e_{M-2} step-major, shape
+    (M-1, 2, ..., R): step m reads the (..., R) slabs ``eps[m, 0]`` (the
+    price innovation) and ``eps[m, 1]``, contiguous in a C-ordered array.
+    Steps m = 0 .. M-2 follow the recursion of the module docstring,
+    departing from the state U_m whose s_m scales both the price noise and
+    the caller's basis; step M-1 is the increment u1 - U_{M-1}, so the
+    walk lands exactly on ``u1``.  At M = 1 there are no innovations and
+    the one step is the whole interval, repeated for each of the R walks.
     """
-    m_total = eps.shape[-2] + 1
+    m_total = eps.shape[0] + 1
     sigma, rho = params.sigma, params.rho
     root = math.sqrt(1.0 - rho**2)
     x, y = u0[..., 0, None], u0[..., 1, None]
@@ -152,13 +154,13 @@ def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterat
     for m in range(m_total - 1):
         remain = m_total - m
         root_fac = math.sqrt((remain - 1) / remain)
-        e_x, e_y = eps[..., m, 0], eps[..., m, 1]
+        e_x, e_y = eps[m, 0], eps[m, 1]
         s = np.exp(0.5 * sigma * y)
         dx = (x_end - x) / remain + root_fac * s * (root * e_x + rho * e_y)
         dy = (y_end - y) / remain + root_fac * e_y
         yield BridgeStep(y, s, dx, dy)
         x, y = x + dx, y + dy
-    shape = eps.shape[:-2]
+    shape = eps.shape[2:]
     yield BridgeStep(
         y,
         np.exp(0.5 * sigma * y),

@@ -81,6 +81,12 @@ def make_xy_paths(
     return x, y
 
 
+def step_major(eps) -> np.ndarray:
+    """Innovations laid out per walk, shape (..., M-1, 2), in the walk's
+    step-major layout (M-1, 2, ...), every value unchanged."""
+    return np.moveaxis(np.asarray(eps, dtype=float), (-2, -1), (0, 1))
+
+
 def bridge_points(u0, u1, params: ParamVector, eps: np.ndarray) -> np.ndarray:
     """Lattice U_0 .. U_M of one modified-bridge walk per leading index.
 
@@ -93,7 +99,7 @@ def bridge_points(u0, u1, params: ParamVector, eps: np.ndarray) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     shape = np.broadcast_shapes(u0.shape, u1.shape, eps.shape[:-2] + (2,))
     points = [np.broadcast_to(u0, shape)]
-    for step in modified_bridge_walk(u0, u1, params, eps[..., None, :, :]):
+    for step in modified_bridge_walk(u0, u1, params, step_major(eps[..., None, :, :])):
         points.append(points[-1] + np.stack([step.dx[..., 0], step.dy[..., 0]], axis=-1))
     points[-1] = np.broadcast_to(u1, shape)
     return np.stack(points, axis=-2)

@@ -23,7 +23,7 @@ from nlsv.params import DomainViolation, Measure
 from nlsv.rng import RngStream
 from nlsv.simulate import modified_bridge_walk
 
-from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series
+from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series, step_major
 
 DELTA = 1 / 262
 
@@ -59,9 +59,8 @@ def _on_lattice(regression, params, u0, u1, eps, delta):
     """``regression`` at every step of the walks from ``u0`` to ``u1`` on
     innovations ``eps`` (B, R, M-1, 2): basis values (B, L, R, M) and
     offsets (B, R, M)."""
-    rows = np.stack(
-        [regression(step, delta) for step in modified_bridge_walk(u0, u1, params, eps)], axis=-1
-    )
+    walk = modified_bridge_walk(u0, u1, params, step_major(eps))
+    rows = np.stack([regression(step, delta) for step in walk], axis=-1)
     return rows[:, :-1], rows[:, -1]
 
 
@@ -203,7 +202,7 @@ def test_constant_series_zero_noise_offset_sums():
     y = np.full(n, -1.5)
     aug = 4
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, aug)
-    eps = np.zeros((n - 2, 3, aug - 1, 2))
+    eps = step_major(np.zeros((n - 2, 3, aug - 1, 2)))
     system = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, 3, RngStream(0), eps=eps)
     d = DELTA / aug
     g_const = 0.5 * NL_PARAMS.sigma * d
@@ -394,6 +393,53 @@ def test_map_chunks_raises_the_first_failed_block_in_index_order(monkeypatch):
     parts = nlsv.eml.map_chunks(lambda lo, hi: np.arange(lo, hi), 100, 8, 4)
     assert [len(p) for p in parts] == [18] * 5 + [10]
     assert np.array_equal(np.concatenate(parts), np.arange(100))
+
+
+@given(n=st.integers(2, 148), chunk=st.integers(1, 40), workers=st.sampled_from([2, 3]))
+@example(n=2, chunk=1, workers=3)
+@settings(max_examples=15, deadline=None)
+def test_assembly_on_the_pool_is_bitwise_serial_at_any_size(n, chunk, workers):
+    # Whatever the number of intervals and the blocks they fall into, both
+    # systems on the pool threads equal the serial ones bitwise, on
+    # innovations drawn block by block or pre-drawn.
+    x, y, systems = _unchunked_systems()
+    x, y = x[: n + 1], y[: n + 1]
+    eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, n), 8, 4, DELTA / 4)
+    for reg, _ in systems:
+        serial = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
+        with mock.patch.multiple(
+            nlsv.eml, WORKERS=workers, POOL_POINTS=1, CHUNK_POINTS=_chunk_points(chunk, 8, 4)
+        ):
+            for kw in ({}, {"eps": eps}):
+                pooled = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW, **kw)
+                assert np.array_equal(serial.gram, pooled.gram)
+                assert np.array_equal(serial.moment, pooled.moment)
+
+
+@given(
+    subset=st.lists(st.integers(0, 39), max_size=12),
+    aug=st.integers(1, 5),
+    n_draws=st.integers(1, 6),
+)
+@settings(max_examples=30, deadline=None)
+def test_draws_of_any_intervals_are_those_of_the_full_set(subset, aug, n_draws):
+    # Interval i draws from its own substream, so any set of intervals, in
+    # any order and with repeats, gets the full array's columns.
+    full = draw_bridge_eps(RngStream(3, 9), np.arange(40), n_draws, aug, DELTA / aug)
+    part = draw_bridge_eps(RngStream(3, 9), subset, n_draws, aug, DELTA / aug)
+    assert np.array_equal(part, full[:, :, subset])
+
+
+def test_assembly_rejects_innovations_of_another_shape():
+    # Pre-drawn innovations are (M-1, 2, N-1, n_bridges).  In the per-walk
+    # layout their interval count would be read as M-1, and with another
+    # draw count the sums would be averaged over n_bridges all the same.
+    x, y, systems = _unchunked_systems()
+    reg = systems[0][0]
+    eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), 8, 4, DELTA / 4)
+    for bad in (np.moveaxis(eps, (0, 1), (-2, -1)), eps[..., :4], eps[:, :, 1:]):
+        with pytest.raises(DomainViolation, match="innovations have shape"):
+            assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW, eps=bad)
 
 
 def test_duplicated_system_same_solution():

@@ -30,7 +30,7 @@ from nlsv.model import gamma_transform, iv_to_v, swap_coefficients, v_to_iv
 from nlsv.params import DomainViolation, Measure, ParamVector
 from nlsv.rng import RngStream
 
-from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points, make_series
+from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points, make_series, step_major
 
 DELTA = 1 / 262
 
@@ -47,8 +47,8 @@ def _cfg(**kw):
 
 def _sml_logw(u_from, u_to, params, spec, cfg, rng, eps=None):
     """Log importance weights of the simulated transition density, on
-    ``eps`` or, without it, on N(0, delta) draws from ``rng.generator()``
-    of shape (..., S, M-1, 2)."""
+    ``eps`` (step-major, as the walk reads it) or, without it, on N(0, delta)
+    draws from ``rng.generator()`` of shape (..., S, M-1, 2)."""
     u_from = np.asarray(u_from, dtype=float)
     u_to = np.asarray(u_to, dtype=float)
     if eps is None:
@@ -56,7 +56,9 @@ def _sml_logw(u_from, u_to, params, spec, cfg, rng, eps=None):
             np.broadcast_shapes(u_from.shape, u_to.shape)[:-1]
             + (cfg.mc_draws, cfg.aug_steps - 1, 2)
         )
-        eps = rng.generator().standard_normal(shape) * math.sqrt(cfg.delta_obs / cfg.aug_steps)
+        eps = step_major(
+            rng.generator().standard_normal(shape) * math.sqrt(cfg.delta_obs / cfg.aug_steps)
+        )
     return _sml_batch(u_from, u_to, params, spec, cfg, eps)
 
 
@@ -307,7 +309,7 @@ def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
     u0 = np.array([0.0, gamma_transform(0.033, params.sigma)])
     u1 = np.array([0.01, gamma_transform(0.040, params.sigma)])
     eps = RngStream(41).generator().standard_normal((1, aug - 1, 2)) * math.sqrt(delta)
-    ld = _sml_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=eps)
+    ld = _sml_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=step_major(eps))
     points = bridge_points(u0, u1, params, eps[0])
     explicit = sum(
         float(euler_density(points[m + 1], points[m], params, spec, delta))
@@ -579,6 +581,88 @@ def test_pool_underflow_in_a_late_block_is_minus_inf_and_the_pool_goes_on(monkey
         jumped, LN_PARAMS, LN, cfg, RngStream(8, 2), return_contributions=True
     ) == (-np.inf, None)
     assert total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2)) == whole
+
+
+@given(
+    n=st.integers(1, 69),
+    chunk=st.integers(1, 20),
+    n_draws=st.sampled_from([1, 8]),
+    workers=st.sampled_from([2, 3]),
+)
+@example(n=3, chunk=1, n_draws=1, workers=2)
+@settings(max_examples=15, deadline=None)
+def test_total_loglik_on_the_pool_is_bitwise_serial_at_any_size(n, chunk, n_draws, workers):
+    # Whatever the number of intervals and the blocks they fall into, the
+    # log-likelihood and its contributions on the pool threads equal the
+    # serial ones bitwise, on innovations drawn block by block or pre-drawn;
+    # with one draw, a block of one interval sums e'e over a single point.
+    series, _ = _unchunked_loglik()
+    series = dataclasses.replace(
+        series, dates=series.dates[: n + 1], x=series.x[: n + 1], iv=series.iv[: n + 1]
+    )
+    cfg = _cfg(aug_steps=3, mc_draws=n_draws)
+    serial = total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2), return_contributions=True)
+    eps = eml.draw_bridge_eps(RngStream(8, 2), np.arange(n), n_draws, 3, cfg.delta_obs / 3)
+    with mock.patch.multiple(
+        eml, WORKERS=workers, POOL_POINTS=1, CHUNK_POINTS=chunk * n_draws * 4
+    ):
+        for kw in ({}, {"eps": eps}):
+            total, contrib = total_loglik(
+                series, LN_PARAMS, LN, cfg, RngStream(8, 2), return_contributions=True, **kw
+            )
+            assert total == serial[0] and np.array_equal(contrib, serial[1])
+
+
+def test_total_loglik_rejects_innovations_of_another_shape():
+    # Pre-drawn innovations are (M-1, 2, N, S); in the per-walk layout, or
+    # with another draw or interval count, they are refused, not misread.
+    series, _ = _unchunked_loglik()
+    cfg = _cfg(aug_steps=3, mc_draws=8)
+    eps = eml.draw_bridge_eps(RngStream(8, 2), np.arange(69), 8, 3, cfg.delta_obs / 3)
+    for bad in (np.moveaxis(eps, (0, 1), (-2, -1)), eps[..., :4], eps[:, :, 1:]):
+        with pytest.raises(DomainViolation, match="innovations have shape"):
+            total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2), eps=bad)
+
+
+class _SlabReads(np.ndarray):
+    """Innovations that record, for every slab read from them by integer
+    indices alone, such as a walk step's ``eps[m, k]``, whether it is
+    C-contiguous.  Views share the record."""
+
+    def __array_finalize__(self, obj):
+        self.reads = getattr(obj, "reads", None)
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        keys = key if isinstance(key, tuple) else (key,)
+        if all(isinstance(k, int) for k in keys):
+            self.reads.append(out.flags.c_contiguous)
+        return out
+
+
+@pytest.mark.parametrize("stage", ["stock", "sml"])
+def test_every_step_reads_contiguous_innovations(stage, monkeypatch):
+    # The layout guard: each block of pre-drawn innovations is a slice of
+    # the drawn array, and every (intervals, draws) slab a step of its
+    # walks reads is C-contiguous, so no step strides through the block.
+    monkeypatch.setattr(eml, "CHUNK_POINTS", 7 * 8 * 5)
+    series, _ = _unchunked_loglik()
+    cfg = _cfg(aug_steps=4, mc_draws=8)
+    delta = cfg.delta_obs / cfg.aug_steps
+    if stage == "sml":
+        eps = eml.draw_bridge_eps(RngStream(8, 2), np.arange(69), 8, 4, delta).view(_SlabReads)
+        eps.reads = []
+        total_loglik(series, LN_PARAMS, LN, cfg, RngStream(8, 2), eps=eps)
+    else:
+        eps = eml.draw_bridge_eps(RngStream(8, 1), np.arange(1, 69), 8, 4, delta).view(_SlabReads)
+        eps.reads = []
+        x, y = series_to_lattice_coords(series, LN_PARAMS, cfg.swap_tenor)
+        eml.solve_stock_drift(
+            x, y, LN_PARAMS, LN, cfg.delta_obs, cfg.aug_steps, 8, RngStream(8, 1), eps=eps
+        )
+    # Every block of at most 7 intervals reads at least the walk's 2(M-1) slabs.
+    assert len(eps.reads) >= 2 * 3 * -(-68 // 7)
+    assert all(eps.reads)
 
 
 _LOG_WEIGHT = st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf))

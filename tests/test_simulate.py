@@ -10,7 +10,7 @@ from nlsv.params import DomainViolation, Measure, ParamVector, State
 from nlsv.rng import RngStream
 from nlsv.simulate import euler_step, modified_bridge_walk, simulate_paths
 
-from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points
+from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points, step_major
 
 
 class _ZeroStream:
@@ -190,7 +190,7 @@ def test_bridge_last_step_deterministic():
     u0, u1 = np.array([0.0, 0.0]), np.array([1.0, 2.0])
     eps = RngStream(4).generator().standard_normal((1, 1, 2)) * np.sqrt(0.01)
     aux = bridge_points(u0, u1, UNIT, eps[0])[1:-1]
-    *_, last = modified_bridge_walk(u0, u1, UNIT, eps)
+    *_, last = modified_bridge_walk(u0, u1, UNIT, step_major(eps))
     final = aux[-1] + np.concatenate([last.dx, last.dy])
     assert np.array_equal(final, u1)
 
@@ -270,7 +270,7 @@ def test_closed_form_fill_matches_recursion(u0, u1, aug, sigma, rho, seed):
     )
     # y has unit diffusion: its walk ignores sigma and rho entirely.
     assert np.array_equal(bridge_points(u0, u1, UNIT, eps)[..., 1], points[..., 1])
-    *_, last = modified_bridge_walk(u0, u1, p, eps[:, None])
+    *_, last = modified_bridge_walk(u0, u1, p, step_major(eps[:, None]))
     assert last.dx.shape == (3, 1)
     reached = points[:, -2]
     assert np.array_equal(last.dx[:, 0], u1[0] - reached[:, 0])
