@@ -18,7 +18,7 @@ random walk benchmark:                      every future value equals the
 
 LN forecasts are exact: its affine variance drift gives E[V] and its
 integral in closed form.  NL forecasts are Monte Carlo means over Euler
-paths of the log variance alone, which is all the log price needs.
+paths of the log variance, drawn on variance shocks only: X needs just E[V].
 
 A directional forecast is correct when sign(forecast - current) equals
 sign(realized - current), where "current" is X_t, IV_t, or the trailing
@@ -46,10 +46,10 @@ from .model import (
     iv_to_v,
     swap_coefficients,
     variance_drift,
+    variance_drift_over_v,
 )
 from .params import OUTER, DomainViolation, Family, Measure, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import y_step
 
 #: Stream id offset for forecast innovation draws.
 STREAM_FORECAST = 4
@@ -82,8 +82,8 @@ class HorizonGrid:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Monte Carlo and protocol settings for forecast evaluation; the
-    ``n_paths`` Euler paths on steps of ``dt`` are drawn for NL only."""
+    """Monte Carlo and protocol settings for forecast evaluation; NL alone
+    draws, ``n_paths`` variance shocks per step of ``dt``."""
 
     horizons: HorizonGrid = HorizonGrid()
     n_paths: int = 20000
@@ -137,8 +137,9 @@ def forecast_targets(
     The targets need only the daily E[V_t] and int_0^t E[V]: IV is
     A + B*E[V], RV averages E[V] over days 1..h and E[X_t] is
     x + a0*t + a1*int_0^t E[V].  LN has both in closed form; NL estimates
-    them from ``n_paths`` Euler paths of Y on steps of ``dt``, every NL
-    entry on the same draws.  RW returns current values at every horizon.
+    them from ``n_paths`` Euler paths of Y on steps of ``dt``, drawing only
+    their variance shocks from ``rng``, the same draws for every NL entry.
+    RW returns current values at every horizon.
     """
     tenor = SWAP_TENOR_YEARS if swap_tenor is None else swap_tenor
     steps_per_day = _steps_per_day(dt)
@@ -195,25 +196,29 @@ def _euler_variance_moments(
 ):
     """Daily Monte Carlo means of V and their Euler integrals dt * sum_{k<n} E[V_k].
 
-    Only Y is stepped, on the variance column of the joint (price,
-    variance) shocks, so the V paths are bitwise those of
-    :func:`nlsv.simulate.simulate_paths` on the same stream.  The integral
-    is the Euler X drift term: x + a0*t + a1*integral is the Euler X mean
-    without its noise term.  An explosive drift raises DomainViolation."""
+    Only Y = log(V)/sigma is stepped, in place, on ``n_paths`` N(0, dt)
+    variance shocks drawn per step, and V = exp(sigma*Y) is taken once per
+    step, for its mean and the next drift.  The integral is the Euler X
+    drift term: x + a0*t + a1*integral is the Euler X mean without its
+    noise term.  An explosive drift raises DomainViolation at the first
+    step whose mean is not finite or whose V is 0 on a path."""
     if n_paths < 1:
         raise DomainViolation("n_paths must be >= 1")
     gen = rng.generator()
-    sqrt_dt = math.sqrt(dt)
-    y = np.full(n_paths, math.log(v0) / params.sigma)
-    means = np.empty(max_h * steps_per_day + 1)
-    means[0] = np.exp(params.sigma * y).mean()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for step in range(1, len(means)):
-            eps_y = gen.standard_normal((n_paths, 2))[:, 1] * sqrt_dt
-            y = y_step(y, params, spec, Measure.P, dt, eps_y)
-            means[step] = np.exp(params.sigma * y).mean()
-    if not np.all(np.isfinite(means)):
-        raise DomainViolation("NL variance means overflow; the drift is explosive")
+    sigma, sqrt_dt = params.sigma, math.sqrt(dt)
+    y = np.full(n_paths, math.log(v0) / sigma)
+    v = np.exp(sigma * y)
+    sums = np.empty(max_h * steps_per_day + 1)
+    sums[0] = v.sum()
+    with np.errstate(all="ignore"):
+        for step in range(1, len(sums)):
+            y += (variance_drift_over_v(v, params, spec) / sigma - 0.5 * sigma) * dt
+            y += gen.standard_normal(n_paths) * sqrt_dt
+            v = np.exp(sigma * y)
+            sums[step] = v.sum()
+            if not (math.isfinite(sums[step]) and v.min() > 0.0):
+                raise DomainViolation("NL variance leaves (0, inf); the drift is explosive")
+    means = sums / n_paths
     integrals = dt * np.concatenate(([0.0], np.cumsum(means[:-1])))
     return means[::steps_per_day], integrals[::steps_per_day]
 

@@ -40,13 +40,6 @@ class PathEnsemble:
     v: np.ndarray      # (n_paths, n_rec)
 
 
-def y_step(y, params: ParamVector, spec: ModelSpec, measure: Measure, dt: float, eps_y):
-    """One Euler step of Y = log(V)/sigma (unit diffusion) on the N(0, dt)
-    variance shock ``eps_y``; raises :class:`DomainViolation` when the
-    departing variance is not finite and positive."""
-    return y + y_drift(y, params, spec, measure) * dt + eps_y
-
-
 def euler_step(
     x,
     y,
@@ -59,7 +52,8 @@ def euler_step(
     """Advance (x, y) by one Euler step of size dt.
 
     ``eps`` has shape (..., 2) with columns (price shock, variance shock),
-    each distributed N(0, dt).  Broadcasts over leading dimensions.
+    each distributed N(0, dt).  Broadcasts over leading dimensions; a
+    departing variance that is not finite and > 0 raises DomainViolation.
     """
     if dt < 0.0:
         raise DomainViolation("dt must be >= 0")
@@ -68,7 +62,7 @@ def euler_step(
     eps = np.asarray(eps, dtype=float)
     eps_x, eps_v = eps[..., 0], eps[..., 1]
     v = np.exp(params.sigma * y)
-    y_new = y_step(y, params, spec, measure, dt, eps_v)
+    y_new = y + y_drift(y, params, spec, measure) * dt + eps_v
     sq = np.exp(0.5 * params.sigma * y)
     x_new = (
         x

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,31 +201,111 @@ def test_nl_reduced_to_ln_matches_closed_form():
             assert abs(c.mean() - exact[target][h]) < bias + 3 * se, (target, h)
 
 
-def test_nl_forecast_matches_joint_euler_simulation():
-    # NL V paths are those of the joint (X, Y) simulation on the same
-    # stream; the X forecast is the Euler X drift term's mean, which lies
-    # within Monte Carlo error of the simulated X mean.
+def test_nl_forecast_is_an_hourly_euler_recursion_of_y():
+    # The NL forecast steps Y alone, on one (n_paths,) draw of variance
+    # shocks per step from the origin's stream: the Euler recursion of Y
+    # under the paper's drift, on the same draws taken step-major at once,
+    # reproduces every target.
     grid = HorizonGrid(returns_iv=(1, 5, 22), rv=(5, 22))
-    x0, iv0, n_paths, steps = 5.7, 0.045, 2000, 8
+    p, x0, iv0, n_paths, steps = NL_PARAMS, 5.7, 0.045, 500, 8
+    dt = 1 / (262 * steps)
+    rng = RngStream(400).substream(7)
+    got = forecast_targets(x0, iv0, {"NL": (p, NL)}, grid, n_paths, dt, rng)["NL"]
+    y = np.full(n_paths, np.log(float(iv_to_v(iv0, p))) / p.sigma)
+    mean_v = [np.exp(p.sigma * y).mean()]
+    for e in rng.generator().standard_normal((22 * steps, n_paths)) * np.sqrt(dt):
+        v = np.exp(p.sigma * y)
+        mu_v = p.b0 + p.b1 * v + p.b2 * v**2 + p.b3 / v
+        y = y + (mu_v / (p.sigma * v) - p.sigma / 2) * dt + e
+        mean_v.append(np.exp(p.sigma * y).mean())
+    mean_v = np.array(mean_v)
+    a_c, b_c = swap_coefficients(p, 22 / 262)
+    for h in grid.returns_iv:
+        n = h * steps
+        assert got["iv"][h] == pytest.approx(a_c + b_c * mean_v[n], rel=1e-12)
+        drift_mean = x0 + p.a0 * h / 262 + p.a1 * dt * mean_v[:n].sum()
+        assert got["x"][h] == pytest.approx(drift_mean, rel=1e-12)
+    for h in grid.rv:
+        assert got["rv"][h] == pytest.approx(mean_v[steps : (h + 1) * steps : steps].mean(), rel=1e-12)
+
+
+def test_nl_forecast_matches_joint_euler_simulation():
+    # An independent joint (X, Y) simulation follows the same Euler chain:
+    # its mean V agrees with the forecast's E[V] within 4 combined standard
+    # errors at every horizon, and the X forecast, the Euler X drift term's
+    # mean, lies within Monte Carlo error of the simulated X mean.
+    grid = HorizonGrid(returns_iv=(1, 5, 22), rv=(5, 22))
+    x0, iv0, n_paths, n_sim, steps = 5.7, 0.045, 2000, 20000, 8
     dt = 1 / (262 * steps)
     rng = RngStream(400).substream(7)
     got = forecast_targets(x0, iv0, {"NL": (NL_PARAMS, NL)}, grid, n_paths, dt, rng)["NL"]
     v0 = float(iv_to_v(iv0, NL_PARAMS))
     ens = simulate_paths(
-        State(x0, v0), NL_PARAMS, NL, Measure.P, dt, 22 * steps, n_paths, rng
+        State(x0, v0), NL_PARAMS, NL, Measure.P, dt, 22 * steps, n_sim, RngStream(401),
+        record_every=steps,
     )
-    mean_v = ens.v.mean(axis=0)
     a_c, b_c = swap_coefficients(NL_PARAMS, 22 / 262)
     for h in grid.returns_iv:
-        n = h * steps
-        assert got["iv"][h] == pytest.approx(a_c + b_c * mean_v[n], rel=1e-12)
-        drift_mean = x0 + NL_PARAMS.a0 * h / 262 + NL_PARAMS.a1 * dt * mean_v[:n].sum()
-        assert got["x"][h] == pytest.approx(drift_mean, rel=1e-12)
-        x_end = ens.x[:, n]
+        v_end = ens.v[:, h]
+        se_v = v_end.std(ddof=1) * np.sqrt(1 / n_paths + 1 / n_sim)
+        assert abs((got["iv"][h] - a_c) / b_c - v_end.mean()) < 4 * se_v, h
+        x_end = ens.x[:, h]
         se = x_end.std(ddof=1) / np.sqrt(n_paths)
         assert abs(got["x"][h] - x_end.mean()) < 3 * se
-    for h in grid.rv:
-        assert got["rv"][h] == pytest.approx(mean_v[steps : (h + 1) * steps : steps].mean(), rel=1e-12)
+
+
+def test_explosive_nl_forecast_stops_at_the_first_non_finite_step():
+    # The explosive fit of the skip test below raises within the first few
+    # steps instead of finishing the horizon.
+    p = dataclasses.replace(NL_PARAMS, b2=4954.0, b3=-0.0012)
+    series = make_series(NL_PARAMS, NL, 40, 3)
+    grid, steps = HorizonGrid(returns_iv=(1, 5), rv=(5,)), 8
+    gen = RngStream(0).substream(10).generator()
+
+    class CountingStream:
+        calls = 0
+
+        def generator(self):
+            return self
+
+        def standard_normal(self, *args, **kwargs):
+            self.calls += 1
+            return gen.standard_normal(*args, **kwargs)
+
+    stream = CountingStream()
+    with pytest.raises(DomainViolation):
+        forecast_targets(
+            float(series.x[10]), float(series.iv[10]), {"NL": (p, NL)}, grid, 200,
+            1 / (262 * steps), stream,
+        )
+    assert 0 < stream.calls < grid.max_horizon * steps
+
+
+def test_nl_forecast_raises_when_a_path_reaches_zero_variance():
+    # With b3 < 0 (one rolling window's fit) the drift b3/V drives some
+    # paths to V = 0, where the next drift is undefined; averaging them in
+    # would forecast IV = A.  The forecast raises instead.
+    p = dataclasses.replace(NL_PARAMS, b3=-0.0097)
+    with pytest.raises(DomainViolation):
+        forecast_targets(
+            0.0, 0.045, {"NL": (p, NL)}, HorizonGrid(returns_iv=(1, 5, 22), rv=(5, 22)), 500,
+            1 / (262 * 8), RngStream(0).substream(3),
+        )
+
+
+def test_nl_forecast_memory_stays_at_a_few_path_arrays():
+    # 5,000 paths to 131 days: drawing the horizon's shocks up front would
+    # take about 42 MB; stepping draws one (5000,) array at a time.
+    tracemalloc.start()
+    try:
+        forecast_targets(
+            5.7, 0.045, {"NL": (NL_PARAMS, NL)}, HorizonGrid(), 5000, 1 / (262 * 8),
+            RngStream(5),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_explosive_nl_forecast_origin_is_skipped_without_a_warning():
