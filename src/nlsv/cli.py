@@ -54,7 +54,9 @@ class RunConfig:
     restarts: int = 3
     min_obs: int = 200
     split_date: str = "1999-12-31"
-    # forecasting
+    # forecasting; ``paths`` is unread (NL forecasts follow the Euler
+    # chain's law, not sampled paths) and kept only because the benchmark's
+    # rolling config sets it, until the next benchmark change deletes it
     paths: int = 20000
     dt_hours: float = 1.0
     horizons: str = "1,5,22,66,131"
@@ -319,7 +321,6 @@ def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list
         models[res.spec.family.value] = (res.params, res.spec)
     report = forecasting.evaluate_origins(
         series, sp.split_index, models, lambda origin: models, eval_config,
-        RngStream(config.seed, forecasting.STREAM_FORECAST),
         config.likelihood_config().swap_tenor,
     )
     save_results(report, out_dir / "report.json")

@@ -17,8 +17,12 @@ random walk benchmark:                      every future value equals the
                                             implied variance is IV_t.
 
 LN forecasts are exact: its affine variance drift gives E[V] and its
-integral in closed form.  NL forecasts are Monte Carlo means over Euler
-paths of the log variance, drawn on variance shocks only: X needs just E[V].
+integral in closed form.  NL forecasts are means of the Euler chain of the
+log variance Y = log(V)/sigma on steps of dt (hourly by default), taken from
+the chain's law on a fixed Y grid rather than from sampled paths (the
+Markov-chain approximation of a diffusion, Kushner & Dupuis 2001): X needs
+just E[V], and Y has unit diffusion, so the chain is one-dimensional.  They
+are deterministic, and finite for every fit, explosive drifts included.
 
 A directional forecast is correct when sign(forecast - current) equals
 sign(realized - current), where "current" is X_t, IV_t, or the trailing
@@ -30,18 +34,19 @@ recovered from any published benchmark.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import ndtr
 
 from .data_io import ObservedSeries, split
 from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
-    SWAP_TENOR_YEARS,
     exp_averages,
     iv_to_v,
     swap_coefficients,
@@ -49,9 +54,10 @@ from .model import (
     variance_drift_over_v,
 )
 from .params import OUTER, DomainViolation, Family, Measure, ModelSpec, ParamVector
-from .rng import RngStream
 
-#: Stream id offset for forecast innovation draws.
+#: Stream id offset that forecasts once drew from.  Nothing reads it; it is
+#: kept only because the benchmark's forecast workload spells it, until the
+#: next benchmark change deletes it.
 STREAM_FORECAST = 4
 
 TARGETS = ("x", "iv", "rv")
@@ -82,8 +88,10 @@ class HorizonGrid:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Monte Carlo and protocol settings for forecast evaluation; NL alone
-    draws, ``n_paths`` variance shocks per step of ``dt``."""
+    """Protocol settings for forecast evaluation.  NL forecasts follow the
+    Euler chain of Y on steps of ``dt``.  ``n_paths`` is unread: it is
+    kept, with its check, only because the benchmark sets it, until the
+    next benchmark change deletes it."""
 
     horizons: HorizonGrid = HorizonGrid()
     n_paths: int = 20000
@@ -127,100 +135,205 @@ def forecast_targets(
     iv_now: float,
     models: Models,
     horizons: HorizonGrid,
-    n_paths: int,
     dt: float,
-    rng: RngStream,
-    swap_tenor: float | None = None,
+    swap_tenor: float,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Per-model conditional expectations of (X, IV, RV) at each horizon.
 
-    The targets need only the daily E[V_t] and int_0^t E[V]: IV is
-    A + B*E[V], RV averages E[V] over days 1..h and E[X_t] is
-    x + a0*t + a1*int_0^t E[V].  LN has both in closed form; NL estimates
-    them from ``n_paths`` Euler paths of Y on steps of ``dt``, drawing only
-    their variance shocks from ``rng``, the same draws for every NL entry.
-    RW returns current values at every horizon.
+    The targets need only E[V_h], int_0^h E[V] and the daily sum
+    E[V_1] + ... + E[V_h]: IV is A + B*E[V], RV is the daily sum over h and
+    E[X_h] is x + a0*h + a1*int_0^h E[V].  LN has them in closed form; NL
+    reads them from the law of the Euler chain of Y on steps of ``dt``
+    (:func:`_euler_chain`), whose X integral is dt times the sum of E[V]
+    over the steps before h.  RW returns current values at every horizon.
     """
-    tenor = SWAP_TENOR_YEARS if swap_tenor is None else swap_tenor
-    steps_per_day = _steps_per_day(dt)
-    max_h = horizons.max_horizon
-    days = np.arange(max_h + 1)
-    years = days / DAYS_PER_YEAR
-
+    hs, rv_hs = horizons.returns_iv, horizons.rv
     out: dict[str, dict[str, dict[int, float]]] = {}
     for name, (params, spec) in models.items():
         if spec.family is Family.RW:
-            daily = {"x": np.full(max_h + 1, x_now), "iv": np.full(max_h + 1, iv_now)}
-            daily["rv"] = daily["iv"]
-        else:
-            v0 = float(iv_to_v(iv_now, params, tenor))
-            if spec.family is Family.LN:
-                mean_v, int_v = _ln_variance_moments(v0, params, years)
-            else:
-                mean_v, int_v = _euler_variance_moments(
-                    v0, params, spec, dt, steps_per_day, max_h, n_paths, rng
-                )
-            a_c, b_c = swap_coefficients(params, tenor)
-            daily = {
-                "x": x_now + params.a0 * years + params.a1 * int_v,
-                "iv": np.concatenate(([iv_now], a_c + b_c * mean_v[1:])),
-                "rv": np.concatenate(([iv_now], np.cumsum(mean_v[1:]) / days[1:])),
+            current = {"x": x_now, "iv": iv_now, "rv": iv_now}
+            out[name] = {
+                t: {h: current[t] for h in (0,) + horizons.for_target(t)} for t in TARGETS
             }
+            continue
+        v0 = float(iv_to_v(iv_now, params, swap_tenor))
+        if spec.family is Family.LN:
+            mean_v, int_v, sum_v = _ln_variance_moments(v0, params, horizons)
+        else:
+            mean_v, int_v, sum_v = _euler_chain(params, spec, dt, horizons).moments(v0)
+        a_c, b_c = swap_coefficients(params, swap_tenor)
         out[name] = {
-            t: {h: float(daily[t][h]) for h in (0,) + horizons.for_target(t)} for t in TARGETS
+            "x": {0: x_now} | {
+                h: float(x_now + params.a0 * (h / DAYS_PER_YEAR) + params.a1 * i)
+                for h, i in zip(hs, int_v)
+            },
+            "iv": {0: iv_now} | {h: float(a_c + b_c * m) for h, m in zip(hs, mean_v)},
+            "rv": {0: iv_now} | {h: float(sv / h) for h, sv in zip(rv_hs, sum_v)},
         }
     return out
 
 
-def _ln_variance_moments(v0: float, params: ParamVector, t: np.ndarray):
-    """E[V_t] and int_0^t E[V_s] ds under the LN drift b0_q + b1*V:
+def _ln_variance_moments(v0: float, params: ParamVector, horizons: HorizonGrid):
+    """E[V_h] and int_0^h E[V_s] ds at ``horizons.returns_iv``, and the
+    daily sums E[V_1] + ... + E[V_h] at ``horizons.rv``, under the LN drift
+    b0_q + b1*V:
 
         E[V_t] = v0*e^z + b0_q*t*phi(z),  int_0^t E[V] = v0*t*phi(z) + b0_q*t^2*psi(z)
 
     with z = b1*t and phi, psi from :func:`nlsv.model.exp_averages`.
     Raises :class:`DomainViolation` when a moment overflows.
     """
+    t = np.arange(horizons.max_horizon + 1) / DAYS_PER_YEAR
     z = params.b1 * t
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, psi = np.array([exp_averages(zi) for zi in z]).T
+        phi, psi = exp_averages(z)
         mean_v = v0 * np.exp(z) + params.b0_q * t * phi
         int_v = v0 * t * phi + params.b0_q * t * t * psi
     if not (np.all(np.isfinite(mean_v)) and np.all(np.isfinite(int_v))):
         raise DomainViolation("LN variance moments overflow; the drift is explosive")
-    return mean_v, int_v
+    hs = list(horizons.returns_iv)
+    sum_v = np.cumsum(mean_v[1:])[[h - 1 for h in horizons.rv]]
+    return mean_v[hs], int_v[hs], sum_v
 
 
-def _euler_variance_moments(
-    v0: float, params: ParamVector, spec: ModelSpec, dt: float, steps_per_day: int,
-    max_h: int, n_paths: int, rng: RngStream,
-):
-    """Daily Monte Carlo means of V and their Euler integrals dt * sum_{k<n} E[V_k].
+# ----------------------------------------------------------------------
+# NL: the law of the Euler chain of Y on a fixed grid
+# ----------------------------------------------------------------------
 
-    Only Y = log(V)/sigma is stepped, in place, on ``n_paths`` N(0, dt)
-    variance shocks drawn per step, and V = exp(sigma*Y) is taken once per
-    step, for its mean and the next drift.  The integral is the Euler X
-    drift term: x + a0*t + a1*integral is the Euler X mean without its
-    noise term.  An explosive drift raises DomainViolation at the first
-    step whose mean is not finite or whose V is 0 on a path."""
-    if n_paths < 1:
-        raise DomainViolation("n_paths must be >= 1")
-    gen = rng.generator()
-    sigma, sqrt_dt = params.sigma, math.sqrt(dt)
-    y = np.full(n_paths, math.log(v0) / sigma)
-    v = np.exp(sigma * y)
-    sums = np.empty(max_h * steps_per_day + 1)
-    sums[0] = v.sum()
-    with np.errstate(all="ignore"):
-        for step in range(1, len(sums)):
-            y += (variance_drift_over_v(v, params, spec) / sigma - 0.5 * sigma) * dt
-            y += gen.standard_normal(n_paths) * sqrt_dt
-            v = np.exp(sigma * y)
-            sums[step] = v.sum()
-            if not (math.isfinite(sums[step]) and v.min() > 0.0):
-                raise DomainViolation("NL variance leaves (0, inf); the drift is explosive")
-    means = sums / n_paths
-    integrals = dt * np.concatenate(([0.0], np.cumsum(means[:-1])))
-    return means[::steps_per_day], integrals[::steps_per_day]
+#: V range that the chain's Y grid covers.  Fixed, never tuned per fit: the
+#: two end bins absorb the mass that an explosive drift pushes beyond it.
+CHAIN_V_RANGE = (1e-6, 1e2)
+#: Y-grid spacing in Euler-step standard deviations.
+_GRID_PER_SD = 0.25
+#: Bins on either side of a step mean's bin that its kernel covers: 8 SD.
+_KERNEL_HALF = math.ceil(8.0 / _GRID_PER_SD) + 1
+#: Grid rows per block of the transition-matrix build.
+_BUILD_ROWS = 128
+
+
+@dataclass(frozen=True)
+class EulerChain:
+    """Rows of the backward recursion of the Euler chain of Y.
+
+    Bin j of the grid is [edges[j], edges[j+1]), around the centre
+    y_lo + j*h; the outer edges are -inf and +inf, so the end bins absorb
+    the tails.  With u_0 = V at the centres and u_k = K u_{k-1}, u_k[j]
+    is E[V] after k steps from bin j.  For n = d*steps_per_day steps, the
+    rows are u_{n-1} for each horizon d of ``returns_iv`` (``mean_rows``),
+    u_0 + ... + u_{n-2} for the same horizons (``int_rows``) and the sum of
+    u_{n-1} over the days up to each horizon of ``rv`` (``rv_rows``).
+    Cached and shared, so the rows are read-only.
+    """
+
+    params: ParamVector
+    spec: ModelSpec
+    dt: float
+    edges: np.ndarray
+    sd: float
+    mean_rows: np.ndarray
+    int_rows: np.ndarray
+    rv_rows: np.ndarray
+
+    def moments(self, v0: float):
+        """E[V_h] and dt * sum_{k<n} E[V_k] at ``returns_iv``, and the
+        daily sums at ``rv``, for the chain started exactly at ``v0``: the
+        first step's bin probabilities dotted with the rows."""
+        y0 = np.array([math.log(v0) / self.params.sigma])
+        probs, cols = _kernel(_step_means(y0, self.params, self.spec, self.dt), self.edges, self.sd)
+        probs, cols = probs[0], cols[0]
+        mean_v = self.mean_rows[:, cols] @ probs
+        int_v = self.dt * (v0 + self.int_rows[:, cols] @ probs)
+        return mean_v, int_v, self.rv_rows[:, cols] @ probs
+
+
+def _step_means(y, params: ParamVector, spec: ModelSpec, dt: float) -> np.ndarray:
+    """Mean of one Euler step of Y from each ``y``: y + (mu_V/(sigma V) - sigma/2)*dt."""
+    over_v = variance_drift_over_v(np.exp(params.sigma * y), params, spec)
+    return y + (over_v / params.sigma - 0.5 * params.sigma) * dt
+
+
+def _kernel(means, edges: np.ndarray, sd: float):
+    """Bin probabilities of N(mean, sd^2) for each of ``means``, on the
+    window of 2*_KERNEL_HALF + 1 bins around the mean's bin, and the bins'
+    columns, both shaped (len(means), window).
+
+    The window's outer edges are taken as -inf and +inf, so every row sums
+    to one: beyond 8 SD that moves less than 1e-15 of mass, and at the
+    grid's ends it is the end bins' absorption.  Window bins that fall off
+    the grid repeat an end column with probability zero.  A mean more than
+    16 SD beyond the grid's inner edges lands in the end bin either way, so
+    it is clipped to that distance, which also keeps an infinite mean from
+    meeting an infinite edge.
+    """
+    n = len(edges) - 1
+    means = np.clip(means, edges[1] - 16.0 * sd, edges[-2] + 16.0 * sd)
+    centre = np.clip(np.searchsorted(edges, means, side="right") - 1, 0, n - 1)
+    first = centre[:, None] - _KERNEL_HALF
+    k = np.arange(2 * _KERNEL_HALF + 2)
+    cdf = ndtr((edges[np.clip(first + k, 0, n)] - means[:, None]) / sd)
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    return np.diff(cdf, axis=1), np.clip(first + k[:-1], 0, n - 1).astype(np.int32)
+
+
+def _transition(params: ParamVector, spec: ModelSpec, dt: float):
+    """The Y grid of the Euler chain, as bin centres ``y`` and ``edges``,
+    the kernel's step SD and the sparse transition matrix K.
+
+    The grid spans ``CHAIN_V_RANGE`` at spacing h = 0.25*sqrt(dt).  The
+    chain moves between bin centres, and rounding to a centre adds
+    variance h^2/12 per step, so the kernel uses the step variance
+    dt - h^2/12 (Sheppard's correction) and the binned chain keeps the
+    Euler step's variance.  K is built in blocks of rows into preallocated
+    arrays, with a fixed number of entries per row.
+    """
+    h = _GRID_PER_SD * math.sqrt(dt)
+    y_lo, y_hi = (math.log(v) / params.sigma for v in CHAIN_V_RANGE)
+    y = y_lo + h * np.arange(round((y_hi - y_lo) / h) + 1)
+    n, width = len(y), 2 * _KERNEL_HALF + 1
+    edges = np.concatenate(([-np.inf], y[1:] - 0.5 * h, [np.inf]))
+    sd = math.sqrt(dt - h * h / 12.0)
+    data = np.empty(n * width)
+    cols = np.empty(n * width, dtype=np.int32)
+    for start in range(0, n, _BUILD_ROWS):
+        block = slice(start * width, min(start + _BUILD_ROWS, n) * width)
+        probs, c = _kernel(_step_means(y[start : start + _BUILD_ROWS], params, spec, dt), edges, sd)
+        data[block], cols[block] = probs.ravel(), c.ravel()
+    indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+    return y, edges, sd, sparse.csr_array((data, cols, indptr), shape=(n, n))
+
+
+@functools.lru_cache(maxsize=4)
+def _euler_chain(
+    params: ParamVector, spec: ModelSpec, dt: float, horizons: HorizonGrid
+) -> EulerChain:
+    """The Euler chain of Y for one parameter vector, reduced by the
+    backward recursion to the rows its forecasts read at ``horizons``;
+    K itself does not outlive the call."""
+    y, edges, sd, kernel = _transition(params, spec, dt)
+    n = len(y)
+    hs, rv_hs = horizons.returns_iv, horizons.rv
+    mean_rows, int_rows = np.empty((len(hs), n)), np.empty((len(hs), n))
+    rv_rows = np.empty((len(rv_hs), n))
+    u = np.exp(params.sigma * y)
+    running, daily = np.zeros(n), np.zeros(n)  # sums of u_k over k < step, and at days' ends
+    steps_per_day = _steps_per_day(dt)
+    n_steps = horizons.max_horizon * steps_per_day
+    for step in range(n_steps):
+        day, rest = divmod(step + 1, steps_per_day)
+        if rest == 0:
+            daily += u
+            for k, horizon in enumerate(hs):
+                if horizon == day:
+                    mean_rows[k], int_rows[k] = u, running
+            for k, horizon in enumerate(rv_hs):
+                if horizon == day:
+                    rv_rows[k] = daily
+        running += u
+        if step + 1 < n_steps:
+            u = kernel @ u
+    for rows in (edges, mean_rows, int_rows, rv_rows):
+        rows.flags.writeable = False
+    return EulerChain(params, spec, dt, edges, sd, mean_rows, int_rows, rv_rows)
 
 
 @dataclass
@@ -456,11 +569,16 @@ def forecast_origin(
     origin: int,
     models: Models,
     eval_config: EvalConfig,
-    rng: RngStream,
+    rng: object,
     last_index: int,
     swap_tenor: float,
 ) -> None:
-    """Forecast all targets/horizons from one origin and record residuals."""
+    """Forecast all targets/horizons from one origin and record residuals.
+
+    ``rng`` is unread (callers in the package pass None): forecasts draw
+    nothing.  It stays only because the benchmark passes it by position,
+    until the next benchmark change deletes it.
+    """
     horizons = eval_config.horizons
     try:
         forecasts = forecast_targets(
@@ -468,14 +586,12 @@ def forecast_origin(
             float(series.iv[origin]),
             models,
             horizons,
-            eval_config.n_paths,
             eval_config.dt,
-            rng.substream(origin),
-            swap_tenor=swap_tenor,
+            swap_tenor,
         )
     except DomainViolation:
-        # Estimated dynamics can be explosive on pathological windows;
-        # the origin is skipped rather than aborting the protocol.
+        # An explosive LN drift overflows its closed-form moments; the
+        # origin is skipped rather than aborting the protocol.
         return
     for model, per_target in forecasts.items():
         for target in TARGETS:
@@ -500,7 +616,7 @@ def forecast_origin(
 
 def evaluate_origins(
     series: ObservedSeries, n_in: int, in_models: Models, out_models: Callable[[int], Models],
-    eval_config: EvalConfig, rng: RngStream, swap_tenor: float,
+    eval_config: EvalConfig, swap_tenor: float,
 ) -> ForecastReport:
     """Forecasts from every origin into one report: in-sample origins with
     ``in_models``, realized within the in-sample window, then each
@@ -508,10 +624,10 @@ def evaluate_origins(
     which a caller may re-estimate."""
     report = ForecastReport()
     for origin in range(max(eval_config.horizons.rv, default=0), n_in):
-        forecast_origin(report, series, "in", origin, in_models, eval_config, rng, n_in - 1,
+        forecast_origin(report, series, "in", origin, in_models, eval_config, None, n_in - 1,
                         swap_tenor)
     for origin in range(n_in, len(series)):
-        forecast_origin(report, series, "out", origin, out_models(origin), eval_config, rng,
+        forecast_origin(report, series, "out", origin, out_models(origin), eval_config, None,
                         len(series) - 1, swap_tenor)
     return report
 
@@ -541,7 +657,6 @@ def rolling_evaluation(
     """
     sp = split(series, split_date)
     n_in = sp.split_index
-    rng = RngStream(lik_config.seed, STREAM_FORECAST)
 
     diffusive = {spec.family.value: spec for spec in specs if spec.family is not Family.RW}
     fits = {
@@ -578,7 +693,7 @@ def rolling_evaluation(
         return model_map(current_params)
 
     report = evaluate_origins(
-        series, n_in, model_map(current_params), out_models, eval_config, rng,
+        series, n_in, model_map(current_params), out_models, eval_config,
         lik_config.swap_tenor,
     )
     return report, param_paths, fits

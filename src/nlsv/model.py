@@ -96,23 +96,30 @@ def gamma_transform(v, sigma: float) -> np.ndarray:
     return np.log(v) / sigma
 
 
-def exp_averages(z: float) -> tuple[float, float]:
-    """phi(z) = (e^z - 1)/z and psi(z) = (e^z - 1 - z)/z^2.
+def exp_averages(z) -> tuple[np.ndarray, np.ndarray]:
+    """phi(z) = (e^z - 1)/z and psi(z) = (e^z - 1 - z)/z^2, elementwise.
 
     They are the averages int_0^1 e^{zu} du and int_0^1 (1-u) e^{zu} du,
     so the affine variance drift b0 + b1*V averages, over a horizon t
     with z = b1*t, to E[V_t] = V_0 e^z + b0 t phi(z) and
-    int_0^t E[V_s] ds = V_0 t phi(z) + b0 t^2 psi(z).  For
+    int_0^t E[V_s] ds = V_0 t phi(z) + b0 t^2 psi(z).  Where
     |z| < ``_SERIES_THRESHOLD`` both come from Taylor series, so they are
-    continuous across b1 = 0.  Overflow gives inf with numpy's warning.
+    continuous across b1 = 0.  The series powers use ``np.float_power``,
+    the C library's pow that Python's ``**`` on a float calls (numpy's
+    ``**`` on an array takes its own SIMD pow), so an array gets the
+    values a scalar does.  Overflow gives inf with numpy's warning.
     """
-    if abs(z) < _SERIES_THRESHOLD:
-        return (
-            1.0 + z / 2.0 + z * z / 6.0 + z**3 / 24.0 + z**4 / 120.0,
-            0.5 + z / 6.0 + z * z / 24.0 + z**3 / 120.0 + z**4 / 720.0,
-        )
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < _SERIES_THRESHOLD
     em1 = np.expm1(z)
-    return em1 / z, (em1 - z) / (z * z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 takes the series
+        phi, psi = em1 / z, (em1 - z) / (z * z)
+    if small.any():
+        s = np.where(small, z, 0.0)
+        s3, s4 = np.float_power(s, 3), np.float_power(s, 4)
+        phi = np.where(small, 1.0 + s / 2.0 + s * s / 6.0 + s3 / 24.0 + s4 / 120.0, phi)
+        psi = np.where(small, 0.5 + s / 6.0 + s * s / 24.0 + s3 / 120.0 + s4 / 720.0, psi)
+    return phi, psi
 
 
 def swap_coefficients(params: ParamVector, delta: float) -> tuple[float, float]:

@@ -88,11 +88,21 @@ def _unread_parameters(stem: str, tree: ast.Module):
                 yield f"{qualified}.{name}"
 
 
+#: Parameters that their body never reads, each with the reason it stays.
+UNREAD_ALLOWED = {
+    # Forecasts draw nothing since NL follows the Euler chain's law, but
+    # the benchmark's forecast workload passes a stream here by position;
+    # the next benchmark change deletes it.
+    "forecasting.forecast_origin.rng",
+}
+
+
 def test_every_parameter_is_read():
     unread = [
         name
         for path in sorted(SRC.glob("*.py"))
         for name in _unread_parameters(path.stem, ast.parse(path.read_text()))
+        if name not in UNREAD_ALLOWED
     ]
     assert unread == []
 
