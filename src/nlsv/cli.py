@@ -275,37 +275,17 @@ def _parameter_table(results: dict[str, FitResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _metrics_csvs(report: ForecastReport, out_dir: Path) -> list[str]:
-    """One CSV per target mirroring the metric/CW block layout."""
-    outputs = []
-    summary = report.summary()
-    for target in forecasting.TARGETS:
-        horizons = sorted(
-            {int(k.split("|")[3]) for k in summary["metrics"] if k.split("|")[2] == target}
-        )
-        if not horizons:
-            continue
-        lines = ["sample,block,name," + ",".join(f"h{h}" for h in horizons)]
-        for sample in report.samples():
-            for block in ("rmse", "nmse", "mae", "dir"):
-                for model in report.models():
-                    cells = []
-                    for h in horizons:
-                        m = summary["metrics"].get(f"{sample}|{model}|{target}|{h}")
-                        cells.append(repr(m[block]) if m else "")
-                    if any(cells):
-                        lines.append(f"{sample},{block.upper()},{model}," + ",".join(cells))
-            for small, big in forecasting.CW_PAIRS:
-                cells = []
-                for h in horizons:
-                    cw = summary["clark_west"].get(f"{sample}|{big}_vs_{small}|{target}|{h}")
-                    cells.append(repr(cw["p_value"]) if cw else "")
-                if any(cells):
-                    lines.append(f"{sample},CW,{big}_vs_{small}," + ",".join(cells))
-        name = f"metrics_{target}.csv"
-        (out_dir / name).write_text("\n".join(lines) + "\n")
-        outputs.append(name)
-    return outputs
+def _write_files(files: dict[str, str], out_dir: Path) -> list[str]:
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    return list(files)
+
+
+def _save_report(report: ForecastReport, out_dir: Path) -> list[str]:
+    """``report.json`` and the metrics CSVs, from one summary of ``report``."""
+    payload = report.to_dict()
+    save_results(payload, out_dir / "report.json")
+    return ["report.json"] + _write_files(report.metrics_tables(payload["summary"]), out_dir)
 
 
 def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list[str]:
@@ -320,12 +300,9 @@ def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list
         res = FitResult.from_dict(data_io.load_results(path))
         models[res.spec.family.value] = (res.params, res.spec)
     report = forecasting.evaluate_origins(
-        series, sp.split_index, models, lambda origin: models, eval_config,
-        config.likelihood_config().swap_tenor,
+        series, sp.split_index, models, lambda origin: models, eval_config
     )
-    save_results(report, out_dir / "report.json")
-    outputs = ["report.json"] + _metrics_csvs(report, out_dir)
-    return outputs
+    return _save_report(report, out_dir)
 
 
 def cmd_rolling(config: RunConfig, out_dir: Path) -> list[str]:
@@ -340,12 +317,9 @@ def cmd_rolling(config: RunConfig, out_dir: Path) -> list[str]:
         fname = f"fit_{name}.json"
         save_results(res, out_dir / fname)
         outputs.append(fname)
-    save_results(report, out_dir / "report.json")
-    outputs.append("report.json")
     save_results({"kind": "parameter_paths", "entries": param_paths}, out_dir / "parameter_paths.json")
     outputs.append("parameter_paths.json")
-    outputs += _metrics_csvs(report, out_dir)
-    return outputs
+    return outputs + _save_report(report, out_dir)
 
 
 def cmd_report(
@@ -393,7 +367,7 @@ def cmd_report(
         outputs.append("premium_series.csv")
     if report_path:
         report = ForecastReport.from_dict(data_io.load_results(report_path))
-        outputs += _metrics_csvs(report, out_dir)
+        outputs += _write_files(report.metrics_tables(report.summary()), out_dir)
     if param_paths_path:
         payload = data_io.load_results(param_paths_path)
         lines = ["date,model,parameter,value"]

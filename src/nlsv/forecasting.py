@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .data_io import ObservedSeries, split
 from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
+    SWAP_TENOR_YEARS,
     exp_averages,
     iv_to_v,
     swap_coefficients,
@@ -343,9 +344,6 @@ class Metrics:
     nmse: float
     dir: float
 
-    def to_dict(self) -> dict:
-        return {"mae": self.mae, "rmse": self.rmse, "nmse": self.nmse, "dir": self.dir}
-
 
 def direction_hits(forecast, realized, current) -> np.ndarray:
     """Directional correctness per observation under the fixed convention."""
@@ -381,9 +379,6 @@ class CWResult:
     statistic: float
     p_value: float
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "p_value": self.p_value, "degenerate": self.degenerate}
 
 
 def clark_west(
@@ -432,15 +427,29 @@ def clark_west(
 # ----------------------------------------------------------------------
 
 CW_PAIRS = (("RW", "LN"), ("RW", "NL"), ("LN", "NL"))  # (nested small, nesting big)
+#: The columns of a report cell, one entry per origin, and their types.
+_CELL_COLUMNS = (("origin", int), ("forecast", float), ("realized", float), ("current", float))
 
 
-def _cell_key(sample: str, model: str, target: str, horizon: int) -> str:
-    return f"{sample}|{model}|{target}|{horizon}"
+def _cell_key(sample: str, name: str, target: str, horizon: int) -> str:
+    """``name`` is a model, or ``big_vs_small`` for a Clark-West test."""
+    return f"{sample}|{name}|{target}|{horizon}"
+
+
+def _split_key(key: str) -> tuple[str, str, str, int]:
+    sample, name, target, horizon = key.split("|")
+    return sample, name, target, int(horizon)
 
 
 @dataclass
 class ForecastReport:
-    """Long-format forecast records with metric and test accessors."""
+    """Long-format forecast records with metric and test accessors.
+
+    This class owns the report's format: the cell keys
+    ``sample|model|target|h`` and test keys ``sample|big_vs_small|target|h``
+    of :meth:`summary`, and the metrics CSV layout of :meth:`metrics_tables`.
+    Callers write what these return and parse no key.
+    """
 
     cells: dict[str, dict[str, list]] = field(default_factory=dict)
 
@@ -456,30 +465,19 @@ class ForecastReport:
         current: float,
     ) -> None:
         cell = self.cells.setdefault(
-            _cell_key(sample, model, target, horizon),
-            {"origin": [], "forecast": [], "realized": [], "current": []},
+            _cell_key(sample, model, target, horizon), {name: [] for name, _ in _CELL_COLUMNS}
         )
-        cell["origin"].append(int(origin))
-        cell["forecast"].append(float(forecast))
-        cell["realized"].append(float(realized))
-        cell["current"].append(float(current))
+        for (name, kind), value in zip(_CELL_COLUMNS, (origin, forecast, realized, current)):
+            cell[name].append(kind(value))
 
     def cell(self, sample: str, model: str, target: str, horizon: int) -> dict | None:
         return self.cells.get(_cell_key(sample, model, target, horizon))
 
     def samples(self) -> list[str]:
-        return sorted({key.split("|")[0] for key in self.cells})
+        return sorted({_split_key(key)[0] for key in self.cells})
 
     def models(self) -> list[str]:
-        return sorted({key.split("|")[1] for key in self.cells})
-
-    def horizons(self, sample: str, target: str) -> list[int]:
-        out = set()
-        for key in self.cells:
-            s, _, t, h = key.split("|")
-            if s == sample and t == target:
-                out.add(int(h))
-        return sorted(out)
+        return sorted({_split_key(key)[1] for key in self.cells})
 
     def metrics_for(self, sample: str, model: str, target: str, horizon: int) -> Metrics | None:
         cell = self.cell(sample, model, target, horizon)
@@ -497,50 +495,71 @@ class ForecastReport:
         cb = self.cell(sample, big, target, horizon)
         if cs is None or cb is None:
             return None
-        common = sorted(set(cs["origin"]) & set(cb["origin"]))
+        common, i_s, i_b = np.intersect1d(cs["origin"], cb["origin"], return_indices=True)
         if len(common) < 2:
             return None
-        idx_s = {o: k for k, o in enumerate(cs["origin"])}
-        idx_b = {o: k for k, o in enumerate(cb["origin"])}
-        fs = np.array([cs["forecast"][idx_s[o]] for o in common])
-        rs = np.array([cs["realized"][idx_s[o]] for o in common])
-        fb = np.array([cb["forecast"][idx_b[o]] for o in common])
-        rb = np.array([cb["realized"][idx_b[o]] for o in common])
+        fs, rs = np.array(cs["forecast"])[i_s], np.array(cs["realized"])[i_s]
+        fb, rb = np.array(cb["forecast"])[i_b], np.array(cb["realized"])[i_b]
         return clark_west(rs - fs, rb - fb, fs, fb, horizon)
 
     def summary(self) -> dict:
         """Metric and test tables for every populated cell."""
         out: dict = {"metrics": {}, "clark_west": {}}
         for key in sorted(self.cells):
-            sample, model, target, horizon = key.split("|")
-            m = self.metrics_for(sample, model, target, int(horizon))
+            m = self.metrics_for(*_split_key(key))
             if m is not None:
-                out["metrics"][key] = m.to_dict()
-        for sample in self.samples():
-            for target in TARGETS:
-                for horizon in self.horizons(sample, target):
-                    for small, big in CW_PAIRS:
-                        cw = self.clark_west_for(sample, small, big, target, horizon)
-                        if cw is not None:
-                            out["clark_west"][f"{sample}|{big}_vs_{small}|{target}|{horizon}"] = (
-                                cw.to_dict()
-                            )
+                out["metrics"][key] = asdict(m)
+        tested = sorted({(s, t, h) for s, _, t, h in map(_split_key, self.cells)})
+        for sample, target, horizon in tested:
+            for small, big in CW_PAIRS:
+                cw = self.clark_west_for(sample, small, big, target, horizon)
+                if cw is not None:
+                    key = _cell_key(sample, f"{big}_vs_{small}", target, horizon)
+                    out["clark_west"][key] = asdict(cw)
         return out
+
+    def metrics_tables(self, summary: dict) -> dict[str, str]:
+        """The metrics CSV files by name, ``metrics_<target>.csv``, from
+        ``summary``, this report's :meth:`summary`.
+
+        A table has one column per horizon with metrics for the target.
+        Per sample come RMSE, NMSE, MAE and DIR rows by model, then the
+        Clark-West p-value rows in ``CW_PAIRS`` order; a value that is
+        missing leaves its cell empty, and a row without values is left
+        out.  A target without metrics has no table.
+        """
+        tables, samples, models = {}, self.samples(), self.models()
+        for target in TARGETS:
+            keys = map(_split_key, summary["metrics"])
+            horizons = sorted({h for _, _, t, h in keys if t == target})
+            if not horizons:
+                continue
+            lines = ["sample,block,name," + ",".join(f"h{h}" for h in horizons)]
+
+            def row(sample, block, name, table, column):
+                found = [table.get(_cell_key(sample, name, target, h)) for h in horizons]
+                cells = [repr(value[column]) if value else "" for value in found]
+                if any(cells):
+                    lines.append(f"{sample},{block},{name}," + ",".join(cells))
+
+            for sample in samples:
+                for block in ("rmse", "nmse", "mae", "dir"):
+                    for model in models:
+                        row(sample, block.upper(), model, summary["metrics"], block)
+                for small, big in CW_PAIRS:
+                    row(sample, "CW", f"{big}_vs_{small}", summary["clark_west"], "p_value")
+            tables[f"metrics_{target}.csv"] = "\n".join(lines) + "\n"
+        return tables
 
     def to_dict(self) -> dict:
         return {"kind": "forecast_report", "cells": self.cells, "summary": self.summary()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ForecastReport":
-        report = cls()
-        for key, cell in payload["cells"].items():
-            report.cells[key] = {
-                "origin": [int(v) for v in cell["origin"]],
-                "forecast": [float(v) for v in cell["forecast"]],
-                "realized": [float(v) for v in cell["realized"]],
-                "current": [float(v) for v in cell["current"]],
-            }
-        return report
+        return cls({
+            key: {name: [kind(v) for v in cell[name]] for name, kind in _CELL_COLUMNS}
+            for key, cell in payload["cells"].items()
+        })
 
 
 def risk_premium_series(
@@ -573,7 +592,12 @@ def forecast_origin(
     last_index: int,
     swap_tenor: float,
 ) -> None:
-    """Forecast all targets/horizons from one origin and record residuals.
+    """Forecast every target and horizon from one origin into ``report``.
+
+    A (target, h) whose realized value lies beyond ``last_index``, or whose
+    RV window before the origin is shorter than h, is skipped; otherwise
+    its realized and current values are computed once for every model.
+    :class:`ForecastReport` keys the records and builds the tables.
 
     ``rng`` is unread (callers in the package pass None): forecasts draw
     nothing.  It stays only because the benchmark passes it by position,
@@ -593,22 +617,17 @@ def forecast_origin(
         # An explosive LN drift overflows its closed-form moments; the
         # origin is skipped rather than aborting the protocol.
         return
-    for model, per_target in forecasts.items():
-        for target in TARGETS:
-            for h in horizons.for_target(target):
-                if origin + h > last_index:
-                    continue
-                if target == "x":
-                    realized = float(series.x[origin + h])
-                    current = float(series.x[origin])
-                elif target == "iv":
-                    realized = float(series.iv[origin + h])
-                    current = float(series.iv[origin])
-                else:
-                    if origin < h:
-                        continue
-                    realized = realized_variance(series.x, origin + h, h)
-                    current = realized_variance(series.x, origin, h)
+    for target in TARGETS:
+        for h in horizons.for_target(target):
+            if origin + h > last_index or (target == "rv" and origin < h):
+                continue
+            if target == "rv":
+                realized = realized_variance(series.x, origin + h, h)
+                current = realized_variance(series.x, origin, h)
+            else:
+                path = series.x if target == "x" else series.iv
+                realized, current = float(path[origin + h]), float(path[origin])
+            for model, per_target in forecasts.items():
                 report.add(
                     sample, model, target, h, origin, per_target[target][h], realized, current
                 )
@@ -616,19 +635,23 @@ def forecast_origin(
 
 def evaluate_origins(
     series: ObservedSeries, n_in: int, in_models: Models, out_models: Callable[[int], Models],
-    eval_config: EvalConfig, swap_tenor: float,
+    eval_config: EvalConfig,
 ) -> ForecastReport:
-    """Forecasts from every origin into one report: in-sample origins with
-    ``in_models``, realized within the in-sample window, then each
-    out-of-sample origin in date order with ``out_models(origin)``, in
-    which a caller may re-estimate."""
+    """Forecasts from every origin, in date order, into one report.  An
+    in-sample origin, from the longest RV window on, forecasts with
+    ``in_models`` and is realized within the in-sample window.  An
+    out-of-sample origin, from ``n_in`` on, forecasts with
+    ``out_models(origin)``, in which a caller may re-estimate, and is
+    realized within the whole series."""
     report = ForecastReport()
-    for origin in range(max(eval_config.horizons.rv, default=0), n_in):
-        forecast_origin(report, series, "in", origin, in_models, eval_config, None, n_in - 1,
-                        swap_tenor)
-    for origin in range(n_in, len(series)):
-        forecast_origin(report, series, "out", origin, out_models(origin), eval_config, None,
-                        len(series) - 1, swap_tenor)
+    n = len(series)
+    for origin in range(min(max(eval_config.horizons.rv, default=0), n_in), n):
+        if origin < n_in:
+            sample, models, last_index = "in", in_models, n_in - 1
+        else:
+            sample, models, last_index = "out", out_models(origin), n - 1
+        forecast_origin(report, series, sample, origin, models, eval_config, None, last_index,
+                        SWAP_TENOR_YEARS)
     return report
 
 
@@ -692,8 +715,5 @@ def rolling_evaluation(
                 param_paths.append(entry)
         return model_map(current_params)
 
-    report = evaluate_origins(
-        series, n_in, model_map(current_params), out_models, eval_config,
-        lik_config.swap_tenor,
-    )
+    report = evaluate_origins(series, n_in, model_map(current_params), out_models, eval_config)
     return report, param_paths, fits

@@ -319,6 +319,122 @@ def test_forecast_empty_out_sample(estimate_dir, sim_dir, tmp_path):
     assert "out," not in body  # no out-of-sample rows
 
 
+def test_forecast_ignores_estimation_settings(estimate_dir, sim_dir, tmp_path):
+    # forecast reads no estimation budget, so one that a fit would reject
+    # (M = 0) does not stop it.
+    tmp, cfg, est = estimate_dir
+    cfg0 = tmp_path / "m0.cfg"
+    cfg0.write_text(cfg.read_text().replace("M = 2\n", "M = 0\n"))
+    fc = tmp_path / "fc_m0"
+    code = main(
+        [
+            "forecast", "--config", str(cfg0), "--input", _series_csv(sim_dir),
+            "--fit", str(est / "fit_LN.json"), "--out", str(fc),
+        ]
+    )
+    assert code == 0
+    assert json.loads((fc / "report.json").read_text())["cells"]
+
+
+PINNED_METRICS_IV = (
+    "sample,block,name,h5,h22\n"
+    "in,RMSE,LN,0.035902646142032486,0.022498148071933982\n"
+    "in,RMSE,NL,0.035902646142032486,0.02702159630123037\n"
+    "in,RMSE,RW,0.03307315124588725,0.0245017006212494\n"
+    "in,NMSE,LN,2.0782873522035112,3.253347616497054\n"
+    "in,NMSE,NL,2.0782873522035112,4.69309051955008\n"
+    "in,NMSE,RW,1.7636151916875669,3.8585966791644344\n"
+    "in,MAE,LN,0.03133333333333333,0.01983333333333333\n"
+    "in,MAE,NL,0.03133333333333333,0.023833333333333335\n"
+    "in,MAE,RW,0.030166666666666665,0.020666666666666667\n"
+    "in,DIR,LN,0.5,0.8333333333333334\n"
+    "in,DIR,NL,0.5,0.6666666666666666\n"
+    "in,DIR,RW,0.3333333333333333,0.6666666666666666\n"
+    "in,CW,LN_vs_RW,0.010312912182886939,2.2687774300068812e-08\n"
+    "in,CW,NL_vs_RW,0.010312912182886939,0.03639455488180976\n"
+    "in,CW,NL_vs_LN,1.0,1.368131600585648e-32\n"
+    "out,RMSE,LN,0.01832575600987128,0.040718546143004665\n"
+    "out,RMSE,NL,0.0066833125519211375,0.0439089968002003\n"
+    "out,RMSE,RW,0.01973997635932391,0.03197915988056388\n"
+    "out,NMSE,LN,1.354621848739496,2.5489174531323395\n"
+    "out,NMSE,NL,0.18016806722689063,2.964000512448221\n"
+    "out,NMSE,RW,1.5717647058823538,1.5721911431865734\n"
+    "out,MAE,LN,0.012499999999999997,0.037666666666666675\n"
+    "out,MAE,NL,0.005333333333333329,0.03933333333333333\n"
+    "out,MAE,RW,0.015,0.02633333333333333\n"
+    "out,DIR,LN,1.0,0.6666666666666666\n"
+    "out,DIR,NL,1.0,0.6666666666666666\n"
+    "out,DIR,RW,0.5,0.8333333333333334\n"
+    "out,CW,LN_vs_RW,0.0013985752720190121,0.03354555390175176\n"
+    "out,CW,NL_vs_RW,0.00047792483187476586,0.03328690637486096\n"
+    "out,CW,NL_vs_LN,0.00029168144694144795,1.8797078694273976e-06\n"
+)
+
+PINNED_METRICS_RV = (
+    "sample,block,name,h5,h22\n"
+    "in,RMSE,LN,0.027483328279765053,0.026089589239132658\n"
+    "in,RMSE,NL,0.036801268094093356,0.034036744850235015\n"
+    "in,RMSE,RW,0.03168069864549497,0.0372827037646145\n"
+    "in,NMSE,LN,2.649001461276182,1.4515727741247555\n"
+    "in,NMSE,NL,4.749732099366781,2.4705882352941173\n"
+    "in,NMSE,RW,3.519922065270337,2.964279367336058\n"
+    "in,MAE,LN,0.023999999999999997,0.02333333333333333\n"
+    "in,MAE,NL,0.03133333333333333,0.0305\n"
+    "in,MAE,RW,0.025333333333333336,0.027666666666666673\n"
+    "in,DIR,LN,0.5,0.6666666666666666\n"
+    "in,DIR,NL,0.3333333333333333,0.5\n"
+    "in,DIR,RW,0.6666666666666666,0.5\n"
+    "in,CW,LN_vs_RW,0.12508841359947676,1.0605088939739796e-07\n"
+    "in,CW,NL_vs_RW,0.2089020908752917,4.45979109005915e-09\n"
+    "in,CW,NL_vs_LN,0.8349275386413393,0.3750063263422606\n"
+    "out,RMSE,LN,0.019096247449870003,0.025086516962969038\n"
+    "out,RMSE,NL,0.03604395464799425,\n"
+    "out,RMSE,RW,0.0368284310463171,0.019748417658131498\n"
+    "out,NMSE,LN,1.0891894134240436,2.2237926972909308\n"
+    "out,NMSE,NL,3.8803617356674684,\n"
+    "out,NMSE,RW,4.051107608064382,1.3780918727915197\n"
+    "out,MAE,LN,0.016333333333333335,0.02\n"
+    "out,MAE,NL,0.03283333333333333,\n"
+    "out,MAE,RW,0.034,0.018333333333333333\n"
+    "out,DIR,LN,1.0,0.6666666666666666\n"
+    "out,DIR,NL,0.3333333333333333,\n"
+    "out,DIR,RW,0.5,0.8333333333333334\n"
+    "out,CW,LN_vs_RW,1.872755968637533e-09,0.029289117920828937\n"
+    "out,CW,NL_vs_RW,1.1934420095054183e-05,\n"
+    "out,CW,NL_vs_LN,0.014939582286933163,\n"
+)
+
+
+def test_metrics_csvs_are_pinned_byte_for_byte(tmp_path):
+    # Two samples, RW/LN/NL, targets iv and rv at horizons 5 and 22.  NL
+    # repeats LN's forecasts at in|iv|5, so NL_vs_LN is degenerate there
+    # (p = 1.0), and the cell out|NL|rv|22 is missing, which empties its
+    # metric cells and the out rv h22 tests of NL.  No x target, no table.
+    from nlsv.data_io import save_results
+    from nlsv.forecasting import ForecastReport
+
+    rng = np.random.default_rng(17)
+    report = ForecastReport()
+    for sample in ("in", "out"):
+        for target in ("iv", "rv"):
+            for h in (5, 22):
+                for origin in range(6):
+                    realized, current = (round(float(v), 3) for v in rng.uniform(0.01, 0.09, 2))
+                    forecasts = {
+                        m: round(float(rng.uniform(0.01, 0.09)), 3) for m in ("RW", "LN", "NL")
+                    }
+                    if (sample, target, h) == ("in", "iv", 5):
+                        forecasts["NL"] = forecasts["LN"]
+                    for model, f in forecasts.items():
+                        if (sample, model, target, h) != ("out", "NL", "rv", 22):
+                            report.add(sample, model, target, h, origin, f, realized, current)
+    save_results(report, tmp_path / "report.json")
+    out = tmp_path / "out"
+    assert main(["report", "--report", str(tmp_path / "report.json"), "--out", str(out)]) == 0
+    assert (out / "metrics_iv.csv").read_text() == PINNED_METRICS_IV
+    assert (out / "metrics_rv.csv").read_text() == PINNED_METRICS_RV
+    assert not (out / "metrics_x.csv").exists()
+
 def test_nl_drift_grid_sign_change(estimate_dir, tmp_path, sim_dir):
     # Variance drift at the NL anchor is positive in the calm region and
     # crosses to negative inside (0.01, 0.04): mean repulsion at low

@@ -314,6 +314,35 @@ def test_explosive_nl_forecast_origin_is_recorded_in_the_top_bin_without_a_warni
     assert 0.9 * v_hi < (report.cell("in", "NL", "iv", 5)["forecast"][0] - a_c) / b_c <= v_hi
 
 
+
+@pytest.mark.parametrize("models", [("NL",), ("RW", "LN", "NL")])
+def test_each_realized_variance_is_computed_once_per_origin(models, monkeypatch):
+    # The realized and trailing RV of a (target, h) are shared by every
+    # model's record: two calls per RV horizon whose window fits, however
+    # many models forecast.  At origin 30 of 60 days the 5- and 22-day
+    # windows fit and the 66-day one does not.
+    calls = []
+    real = forecasting.realized_variance
+
+    def counted(x, i, n_days):
+        calls.append((i, n_days))
+        return real(x, i, n_days)
+
+    monkeypatch.setattr(forecasting, "realized_variance", counted)
+    series = make_series(NL_PARAMS, NL, 60, 5)
+    params = {"RW": (None, RW), "LN": (LN_PARAMS, LN), "NL": (NL_PARAMS, NL)}
+    config = EvalConfig(horizons=HorizonGrid(returns_iv=(1, 5), rv=(5, 22, 66)))
+    report = ForecastReport()
+    forecasting.forecast_origin(
+        report, series, "in", 30, {m: params[m] for m in models}, config, None, 59,
+        SWAP_TENOR_YEARS,
+    )
+    assert sorted(calls) == [(30, 5), (30, 22), (35, 5), (52, 22)]
+    assert sorted(report.cells) == sorted(
+        f"in|{m}|{t}|{h}" for m in models for t, h in
+        (("x", 1), ("x", 5), ("iv", 1), ("iv", 5), ("rv", 5), ("rv", 22))
+    )
+
 @given(
     sigma=st.floats(0.5, 4.0),
     b2=st.floats(-500.0, 5000.0),
