@@ -14,13 +14,25 @@ modified-bridge walks through each observation interval.
 
 Each solver writes its regression once: it turns one step of the walk,
 whose departing s = exp(sigma*Y/2) is the one exp per lattice point,
-into design rows, the basis values f_l and the offsets g of that step,
-which :func:`assemble_system` accumulates into the normal equations.
+into design rows, the basis values f_l first, written into one buffer per
+block.  :func:`assemble_system` sums the products of the rows with the
+basis over the lattice, and each solver forms its own normal equations
+from these sums.
 
 The limited-information ordering estimates the variance drift first (its
-equation does not involve the price), then the price drift conditional on
-the variance residuals, which enter the price equation's offset through
-the leverage correlation.
+equation does not involve the price, so its walk is the Y bridge alone),
+then the price drift conditional on the variance residuals, which enter
+the price equation's offset through the leverage correlation.  With the
+variance design f_v, g_v and its coefficients c, the variance residual
+is eps_v = g_v - delta*f_v'c, linear in c, so with r = sqrt(1 - rho^2)
+the price offset g_x = dx/(r s) - (rho/r)*eps_v sums against the price
+basis f_x as
+
+    sum f_x g_x = sum f_x dx/(r s) - (rho/r)*(sum f_x g_v - delta*(sum f_x f_v')c):
+
+the stock regression writes the rows f_x, dx/(r s), g_v and f_v, and c
+is applied once, after the sums, so no drift is evaluated per lattice
+point.
 """
 
 from __future__ import annotations
@@ -29,14 +41,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import variance_drift_over_v
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import BridgeStep, modified_bridge_walk
+from .simulate import BridgeStep, modified_bridge_walk, y_bridge_walk
 
 #: Condition-number threshold above which the normal equations are
 #: reported as ill-conditioned instead of solved.
@@ -93,8 +105,8 @@ def variance_residual(dy, v0, delta: float, params: ParamVector, spec: ModelSpec
     log-variance drift mu_Y = (variance drift)/(sigma V) - sigma/2
     evaluated at the departing variance ``v0`` = exp(sigma * y0),
     distributed N(0, delta) when the coefficients are correct.  The drift
-    term is accumulated in place, as the stock offset and the simulated
-    likelihood evaluate it at every step of every walk.
+    term is accumulated in place, as the simulated likelihood evaluates it
+    at every step of every walk.
     """
     sigma = params.sigma
     step = variance_drift_over_v(v0, params, spec)
@@ -149,27 +161,51 @@ def map_chunks(
     return [block(lo, min(lo + chunk, n_intervals)) for lo in range(0, n_intervals, chunk)]
 
 
+class Regression(NamedTuple):
+    """A drift regression as :func:`assemble_system` walks it:
+    ``write(step, delta, rows)`` writes the design of one
+    :class:`BridgeStep` into a block's (n_rows, B, R) rows, the first
+    ``n_basis`` of them the basis values f_l at the departing points.
+    Each row is one contiguous (B, R) slab, so no elementwise write
+    strides, however few the walks."""
+
+    n_rows: int
+    n_basis: int
+    write: Callable[[BridgeStep, float, np.ndarray], None]
+
+
+class ProductSums(NamedTuple):
+    """Products of the design rows with the basis, averaged over each
+    interval's walks and summed over its steps and over the intervals."""
+
+    gram: np.ndarray    # (n_basis, n_basis): delta * f f', exactly symmetric
+    cross: np.ndarray   # (n_rows - n_basis, n_basis): each other row times f'
+
+
 def assemble_system(
-    x_obs: Sequence[float],
+    x_obs: Sequence[float] | None,
     y_obs: Sequence[float],
     params: ParamVector,
     delta_obs: float,
     aug_steps: int,
-    regression: Callable[[BridgeStep, float], np.ndarray],
+    regression: Regression,
     n_bridges: int,
     rng: RngStream,
     eps: np.ndarray | None = None,
-) -> LinearSystem:
-    """Accumulate the normal equations over intervals 1 .. N-1.
+) -> ProductSums:
+    """Sum the products of the design rows over intervals 1 .. N-1.
 
     Each chunk of B intervals is walked by the modified bridge of
-    ``params`` on its N(0, delta) innovations, shape (M-1, 2, B, R), and
-    ``regression(step, delta)`` turns each :class:`BridgeStep` into its
-    design rows, shape (B, L+1, R): the basis values f_l at the departing
-    points, then the offsets g.  One product of these rows with the basis
-    rows gives each interval's Gram matrix and moment vector of the step,
-    summed over its R walks; they are then summed over its M steps in
-    order.
+    ``params`` on its N(0, delta) innovations, shape (M-1, 2, B, R), or,
+    when ``x_obs`` is None, by its Y bridge alone, which reads no price
+    innovation and gives steps without dx.  ``regression.write`` writes
+    each :class:`BridgeStep`'s design into the block's one (K, B, R)
+    buffer of rows, and one product of the rows with the basis rows gives
+    each interval's products of the step, summed over its R walks; they
+    are then summed over its M steps in order.  The basis block, times
+    delta, and the other rows' products come back averaged over the walks
+    and summed over the intervals, from which each solver forms its
+    normal equations.
 
     The walks of an interval are drawn from the substream keyed by its
     absolute index, and per-interval sums are reduced in index order, so
@@ -179,7 +215,6 @@ def assemble_system(
     by ``CHUNK_POINTS`` lattice points in flight; without a pre-drawn
     ``eps`` the innovations are drawn block by block too.
     """
-    x_obs = np.asarray(x_obs, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     n_intervals = len(y_obs) - 1
     if n_intervals < 2:
@@ -187,11 +222,13 @@ def assemble_system(
     if n_bridges < 1:
         raise DomainViolation("n_bridges must be >= 1")
     delta = delta_obs / aug_steps
-    u = np.stack([x_obs, y_obs], axis=-1)
+    if x_obs is not None:
+        u = np.stack([np.asarray(x_obs, dtype=float), y_obs], axis=-1)
 
     idx = np.arange(1, n_intervals)
     if eps is not None:
         check_eps(eps, len(idx), n_bridges, aug_steps)
+    n_basis = regression.n_basis
 
     def block_sums(lo: int, hi: int) -> np.ndarray:
         block = idx[lo:hi]
@@ -199,12 +236,20 @@ def assemble_system(
             eps[:, :, lo:hi] if eps is not None
             else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
         )
-        sums = 0.0                       # (B, L+1, L): Gram rows, then moments
+        walk = (
+            y_bridge_walk(y_obs[block], y_obs[block + 1], params.sigma, eps_blk)
+            if x_obs is None
+            else modified_bridge_walk(u[block], u[block + 1], params, eps_blk)
+        )
+        rows = np.empty((regression.n_rows, len(block), n_bridges))
+        by_interval = rows.transpose(1, 0, 2)
+        basis = rows[:n_basis].transpose(1, 2, 0)
+        sums = 0.0                       # (B, K, L): every row times the basis
         # Overflow of the state transform is reported below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for step in modified_bridge_walk(u[block], u[block + 1], params, eps_blk):
-                rows = regression(step, delta)
-                sums = sums + rows @ rows[:, :-1].transpose(0, 2, 1)
+            for step in walk:
+                regression.write(step, delta, rows)
+                sums = sums + by_interval @ basis
         return sums
 
     sums = np.concatenate(map_chunks(block_sums, len(idx), n_bridges, aug_steps))
@@ -214,11 +259,10 @@ def assemble_system(
             f"non-finite basis evaluation on interval(s) {idx[~finite][:5].tolist()}; "
             "state transform overflowed"
         )
-    gram = (delta * sums[:, :-1] / n_bridges).sum(axis=0)
+    gram = (delta * sums[:, :n_basis] / n_bridges).sum(axis=0)
     # Exact symmetry: keep the upper triangle, mirror it down.
     gram = np.triu(gram) + np.triu(gram, k=1).T
-    moment = (sums[:, -1] / n_bridges).sum(axis=0)
-    return LinearSystem(gram=gram, moment=moment)
+    return ProductSums(gram=gram, cross=(sums[:, n_basis:] / n_bridges).sum(axis=0))
 
 
 def draw_bridge_eps(
@@ -251,6 +295,24 @@ def check_eps(eps: np.ndarray, n_intervals: int, n_draws: int, aug_steps: int) -
         )
 
 
+def _variance_design(step: BridgeStep, delta: float, params: ParamVector, spec: ModelSpec,
+                     f: np.ndarray, g: np.ndarray) -> None:
+    """Write the variance regression's basis values ``f`` (L, B, R) and
+    offset ``g`` (B, R) at one walk step; see :func:`solve_variance_drift`."""
+    sigma = params.sigma
+    v = step.s * step.s
+    np.add(step.dy, 0.5 * sigma * delta, out=g)
+    if spec.family is Family.LN:
+        f[0] = 1.0 / sigma
+        v *= sigma
+        g -= params.b0_q * delta / v
+    else:
+        np.divide(1.0, np.multiply(sigma, v, out=f[0]), out=f[0])
+        f[1] = 1.0 / sigma
+        np.divide(v, sigma, out=f[2])
+        np.divide(f[0], v, out=f[3])
+
+
 def solve_variance_drift(
     x_obs,
     y_obs,
@@ -264,39 +326,27 @@ def solve_variance_drift(
 ) -> dict[str, float]:
     """Optimal variance drift coefficients given vol and pricing parameters.
 
-    The variance (y) equation is regressed along the Y path of the
-    modified bridge, the plain Brownian bridge of e_y (Y has unit
-    diffusion).  With V = s^2 from the walk's one exp per lattice point,
-    NL uses the four functions 1/(sigma V), 1/sigma, V/sigma and
-    1/(sigma V^2) with free coefficients (b0, b1, b2, b3) and offset
-    g = dy + sigma*delta/2.  For LN the intercept coefficient equals
-    b0_q, which is known at this stage, so its state-dependent term
-    b0_q*delta/(sigma V) is absorbed into the offset and only b1 (basis
-    1/sigma) is estimated.
+    The variance (y) equation is regressed along the Y bridge alone, the
+    plain Brownian bridge of e_y (Y has unit diffusion), so ``x_obs`` is
+    not read and no price innovation is.  With V = s^2 from the walk's
+    one exp per lattice point, NL uses the four functions 1/(sigma V),
+    1/sigma, V/sigma and 1/(sigma V^2) with free coefficients
+    (b0, b1, b2, b3) and offset g = dy + sigma*delta/2.  For LN the
+    intercept coefficient equals b0_q, which is known at this stage, so
+    its state-dependent term b0_q*delta/(sigma V) is absorbed into the
+    offset and only b1 (basis 1/sigma) is estimated.
     """
-    names = spec.variance_names
-    sigma = params.sigma
+    n = len(spec.variance_names)
 
-    def regression(step: BridgeStep, delta: float):
-        v = step.s * step.s
-        rows = np.empty((len(v), len(names) + 1) + step.dy.shape[1:])
-        f, g = rows[:, :-1], rows[:, -1]
-        np.add(step.dy, 0.5 * sigma * delta, out=g)
-        if spec.family is Family.LN:
-            f[:, 0] = 1.0 / sigma
-            v *= sigma
-            g -= params.b0_q * delta / v
-        else:
-            np.divide(1.0, np.multiply(sigma, v, out=f[:, 0]), out=f[:, 0])
-            f[:, 1] = 1.0 / sigma
-            np.divide(v, sigma, out=f[:, 2])
-            np.divide(f[:, 0], v, out=f[:, 3])
-        return rows
+    def write(step: BridgeStep, delta: float, rows: np.ndarray) -> None:
+        _variance_design(step, delta, params, spec, rows[:n], rows[n])
 
-    system = assemble_system(
-        x_obs, y_obs, params, delta_obs, aug_steps, regression, n_bridges, rng, eps
+    sums = assemble_system(
+        None, y_obs, params, delta_obs, aug_steps, Regression(n + 1, n, write), n_bridges, rng,
+        eps,
     )
-    return dict(zip(names, map(float, system.solve())))
+    coeffs = LinearSystem(gram=sums.gram, moment=sums.cross[0]).solve()
+    return dict(zip(spec.variance_names, map(float, coeffs)))
 
 
 def solve_stock_drift(
@@ -318,27 +368,28 @@ def solve_stock_drift(
     per lattice point, and r = sqrt(1 - rho^2), the basis is 1/(r s) and
     s/r and the offset is g = (dx - rho*s*eps_v)/(r s), where eps_v is
     the variance residual departing from V = s^2.  ``params`` must
-    already hold the optimized variance coefficients, as they define these
-    residuals.
+    already hold the optimized variance coefficients c, as they define
+    these residuals.  By the linearity of eps_v in c (module docstring),
+    the rows are the basis, dx/(r s) and the variance design g_v and f_v,
+    and the offset's moment is formed from their sums with c.
     """
     rho = params.rho
     root = np.sqrt(1.0 - rho**2)
+    coeffs = np.array([getattr(params, k) for k in spec.variance_names])
 
-    def regression(step: BridgeStep, delta: float):
-        s = step.s
-        rs = root * s
-        rows = np.empty((len(s), 3) + step.dy.shape[1:])
-        np.divide(1.0, rs, out=rows[:, 0])
-        np.divide(s, root, out=rows[:, 1])
-        g = rows[:, 2]
-        np.multiply(variance_residual(step.dy, s * s, delta, params, spec), -rho, out=g)
-        g *= s
-        g += step.dx
-        g /= rs
-        return rows
+    def write(step: BridgeStep, delta: float, rows: np.ndarray) -> None:
+        s, inv_rs = step.s, rows[0]
+        np.divide(1.0, np.multiply(root, s, out=inv_rs), out=inv_rs)
+        np.divide(s, root, out=rows[1])
+        np.multiply(step.dx, inv_rs, out=rows[2])
+        _variance_design(step, delta, params, spec, rows[4:], rows[3])
 
-    system = assemble_system(
-        x_obs, y_obs, params, delta_obs, aug_steps, regression, n_bridges, rng, eps
+    sums = assemble_system(
+        x_obs, y_obs, params, delta_obs, aug_steps, Regression(4 + len(coeffs), 2, write),
+        n_bridges, rng, eps,
     )
-    a0, a1 = system.solve()
+    dx_rs, g_v, f_v = sums.cross[0], sums.cross[1], sums.cross[2:]
+    delta = delta_obs / aug_steps
+    moment = dx_rs - rho / root * (g_v - delta * (coeffs @ f_v))
+    a0, a1 = LinearSystem(gram=sums.gram, moment=moment).solve()
     return float(a0), float(a1)

@@ -16,7 +16,11 @@ likelihood and the bridge of the drift systems' expectations.  In (x, y)
 coordinates the rows of Sigma are (sqrt(1-rho^2)*s, rho*s) and (0, 1)
 with s = exp(sigma*Y_m/2): Y has unit diffusion, so its path is the plain
 Brownian bridge of e_y, and only the X noise is scaled, by the s of the
-departing point.  Each step takes that one exp and hands it on.
+departing point.  The walk is built in two layers: the Y bridge
+(:func:`y_bridge_walk`), which takes that one exp per point and hands it
+on, and the X recursion on top of it (:func:`modified_bridge_walk`).  A
+caller that reads only Y, s and dy, as the variance drift system does,
+walks the Y bridge alone and never reads a price innovation.
 """
 
 from __future__ import annotations
@@ -118,13 +122,38 @@ def simulate_paths(
 class BridgeStep(NamedTuple):
     """One lattice step of the modified bridge.  The increments have the
     walk's shape (..., R); the departing y and s broadcast against them,
-    and at the first step they are the endpoint's, shape (..., 1).  The
-    walk advances from these arrays: read them, never write."""
+    and at the first step they are the endpoint's, shape (..., 1).  A step
+    of the Y bridge alone has no dx.  The walk advances from these
+    arrays: read them, never write."""
 
-    y: np.ndarray    # departing point Y_m
-    s: np.ndarray    # exp(sigma * Y_m / 2), so V_m = s^2
-    dx: np.ndarray   # increments U_{m+1} - U_m
+    y: np.ndarray           # departing point Y_m
+    s: np.ndarray           # exp(sigma * Y_m / 2), so V_m = s^2
+    dx: np.ndarray | None   # increments U_{m+1} - U_m; None on the Y bridge
     dy: np.ndarray
+
+
+def y_bridge_walk(y0, y1, sigma: float, eps: np.ndarray) -> Iterator[BridgeStep]:
+    """Walk the Y layer of the modified bridge from ``y0`` to ``y1``.
+
+    Y has unit diffusion, so this is the plain Brownian bridge of e_y: it
+    reads only the slabs ``eps[m, 1]`` of the step-major innovations
+    (M-1, 2, ..., R), and its path depends on neither sigma nor rho.  Each
+    step takes the one exp s = exp(sigma*Y_m/2) at its departing point and
+    yields it with dy and no dx; step M-1 is the increment y1 - Y_{M-1}.
+    """
+    m_total = eps.shape[0] + 1
+    y, y_end = y0[..., None], y1[..., None]
+    for m in range(m_total - 1):
+        remain = m_total - m
+        s = np.multiply(0.5 * sigma, y)
+        np.exp(s, out=s)
+        dy = math.sqrt((remain - 1) / remain) * eps[m, 1]
+        dy += (y_end - y) / remain
+        yield BridgeStep(y, s, None, dy)
+        y = y + dy
+    yield BridgeStep(
+        y, np.exp(0.5 * sigma * y), None, np.subtract(y_end, y, out=np.empty(eps.shape[2:]))
+    )
 
 
 def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterator[BridgeStep]:
@@ -134,30 +163,26 @@ def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterat
     N(0, delta) innovations e_0 .. e_{M-2} step-major, shape
     (M-1, 2, ..., R): step m reads the (..., R) slabs ``eps[m, 0]`` (the
     price innovation) and ``eps[m, 1]``, contiguous in a C-ordered array.
-    Steps m = 0 .. M-2 follow the recursion of the module docstring,
-    departing from the state U_m whose s_m scales both the price noise and
-    the caller's basis; step M-1 is the increment u1 - U_{M-1}, so the
-    walk lands exactly on ``u1``.  At M = 1 there are no innovations and
-    the one step is the whole interval, repeated for each of the R walks.
+    The X recursion of the module docstring runs on top of
+    :func:`y_bridge_walk`, whose departing s_m scales both the price noise
+    and the caller's basis; step M-1 is the increment u1 - U_{M-1}, so
+    the walk lands exactly on ``u1``.  At M = 1 there are no innovations
+    and the one step is the whole interval, repeated for each of the R
+    walks.
     """
     m_total = eps.shape[0] + 1
-    sigma, rho = params.sigma, params.rho
+    rho = params.rho
     root = math.sqrt(1.0 - rho**2)
-    x, y = u0[..., 0, None], u0[..., 1, None]
-    x_end, y_end = u1[..., 0, None], u1[..., 1, None]
-    for m in range(m_total - 1):
+    x, x_end = u0[..., 0, None], u1[..., 0, None]
+    steps = y_bridge_walk(u0[..., 1], u1[..., 1], params.sigma, eps)
+    for m, step in zip(range(m_total - 1), steps):
         remain = m_total - m
         root_fac = math.sqrt((remain - 1) / remain)
-        e_x, e_y = eps[m, 0], eps[m, 1]
-        s = np.exp(0.5 * sigma * y)
-        dx = (x_end - x) / remain + root_fac * s * (root * e_x + rho * e_y)
-        dy = (y_end - y) / remain + root_fac * e_y
-        yield BridgeStep(y, s, dx, dy)
-        x, y = x + dx, y + dy
-    shape = eps.shape[2:]
-    yield BridgeStep(
-        y,
-        np.exp(0.5 * sigma * y),
-        np.subtract(x_end, x, out=np.empty(shape)),
-        np.subtract(y_end, y, out=np.empty(shape)),
-    )
+        dx = root * eps[m, 0]
+        dx += rho * eps[m, 1]
+        dx *= root_fac * step.s
+        dx += (x_end - x) / remain
+        yield BridgeStep(step.y, step.s, dx, step.dy)
+        x = x + dx
+    step = next(steps)
+    yield BridgeStep(step.y, step.s, np.subtract(x_end, x, out=np.empty(eps.shape[2:])), step.dy)

@@ -6,12 +6,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 import nlsv.eml
 from nlsv.eml import (
     IllConditionedSystem,
     LinearSystem,
+    Regression,
     assemble_system,
     draw_bridge_eps,
     solve_stock_drift,
@@ -57,11 +59,43 @@ def _regression(solver, params, spec, aug_steps):
 
 def _on_lattice(regression, params, u0, u1, eps, delta):
     """``regression`` at every step of the walks from ``u0`` to ``u1`` on
-    innovations ``eps`` (B, R, M-1, 2): basis values (B, L, R, M) and
-    offsets (B, R, M)."""
-    walk = modified_bridge_walk(u0, u1, params, step_major(eps))
-    rows = np.stack([regression(step, delta) for step in walk], axis=-1)
-    return rows[:, :-1], rows[:, -1]
+    innovations ``eps`` (B, R, M-1, 2): the basis values (B, L, R, M),
+    then each other row of the design, (B, R, M), such as the offset."""
+    steps = []
+    for step in modified_bridge_walk(u0, u1, params, step_major(eps)):
+        rows = np.empty((regression.n_rows, len(u0), eps.shape[1]))
+        regression.write(step, delta, rows)
+        steps.append(rows)
+    rows = np.stack(steps, axis=-1)
+    return (rows[: regression.n_basis].swapaxes(0, 1), *rows[regression.n_basis :])
+
+
+def _system(sums):
+    """The normal equations of a regression whose one row after the basis
+    is its offset."""
+    return LinearSystem(gram=sums.gram, moment=sums.cross[0])
+
+
+def _explicit_stock(params, spec):
+    """The price regression with its offset written out at every lattice
+    point, g_x = (dx - rho*s*eps_v)/(r s), eps_v the variance residual
+    from the drift: the reference for the stock system's offset by
+    linearity."""
+    rho = params.rho
+    root = np.sqrt(1.0 - rho**2)
+
+    def write(step, delta, rows):
+        s = step.s
+        rs = root * s
+        np.divide(1.0, rs, out=rows[0])
+        np.divide(s, root, out=rows[1])
+        g = rows[2]
+        np.multiply(variance_residual(step.dy, s * s, delta, params, spec), -rho, out=g)
+        g *= s
+        g += step.dx
+        g /= rs
+
+    return Regression(3, 2, write)
 
 
 def _endpoints(x, y):
@@ -120,13 +154,18 @@ def test_ln_offset_absorbs_intercept():
 def test_stock_regression_removes_the_leverage_term():
     # Basis 1/(r s), s/r and offset (x1 - x0 - rho*s*eps_v)/(r s), with
     # s = exp(sigma*y0/2), r = sqrt(1 - rho^2) and eps_v the variance
-    # innovation y1 - y0 - mu_Y(y0)*delta.
+    # innovation y1 - y0 - mu_Y(y0)*delta.  The rows hold the offset by
+    # linearity: dx/(r s) - (rho/r)*(g_v - delta*f_v'c), c the variance
+    # coefficients.
     reg = _regression(solve_stock_drift, NL_PARAMS, NL, 1)
     x0, x1 = np.array([5.7, 5.6]), np.array([5.71, 5.58])
     y0, y1 = np.array([-1.3, -0.9]), np.array([-1.25, -0.97])
-    f, g = _on_lattice(
+    f, dx_rs, g_v, *f_v = _on_lattice(
         reg, NL_PARAMS, _endpoints(x0, y0), _endpoints(x1, y1), np.zeros((2, 1, 0, 2)), DELTA
     )
+    coeffs = [NL_PARAMS.b0, NL_PARAMS.b1, NL_PARAMS.b2, NL_PARAMS.b3]
+    drift = sum(c * f_l for c, f_l in zip(coeffs, f_v, strict=True))
+    g = dx_rs - NL_PARAMS.rho / np.sqrt(1 - NL_PARAMS.rho**2) * (g_v - DELTA * drift)
     sigma, rho = NL_PARAMS.sigma, NL_PARAMS.rho
     s, r = np.exp(0.5 * sigma * y0), np.sqrt(1 - rho**2)
     eps_v = y1 - y0 - y_drift(y0, NL_PARAMS, NL, Measure.P) * DELTA
@@ -177,18 +216,36 @@ def test_m1_reduction_equals_least_squares():
     assert np.max(np.abs(got - oracle) / np.maximum(1.0, np.abs(oracle))) < 1e-10
 
 
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)], ids=["LN", "NL"])
+@given(
+    x_new=hnp.arrays(np.float64, 40, elements=st.floats(allow_nan=False, allow_infinity=False)),
+    rho=st.floats(-0.99, 0.99),
+)
+@settings(max_examples=25, deadline=None)
+def test_variance_coefficients_read_y_alone(spec, params, x_new, rho):
+    # The variance system walks the Y bridge alone: any finite price path
+    # and any leverage give its coefficients bitwise.
+    x, y = _series_xy(NL_PARAMS, NL, 40, 41)
+    base = solve_variance_drift(x, y, params, spec, DELTA, 3, 4, RngStream(5, 3))
+    p = dataclasses.replace(params, rho=rho)
+    assert solve_variance_drift(x_new, y, p, spec, DELTA, 3, 4, RngStream(5, 3)) == base
+
+
 def test_single_basis_telescoping_solution():
     # Custom regression f0 = 1 with g = dy: bridge increments telescope
     # per draw, so the solution is the trajectory-mean drift over the
     # summed range (intervals 1..N-1, dropping the first interval).
     x, y = _series_xy(LN_PARAMS, LN, 200, 13)
 
-    def mean_drift(step, delta):
-        return np.stack([np.ones(step.dy.shape), step.dy], axis=1)
+    def mean_drift(step, delta, rows):
+        rows[0] = 1.0
+        rows[1] = step.dy
 
     for aug in (1, 6):
-        system = assemble_system(x, y, LN_PARAMS, DELTA, aug, mean_drift, 16, RngStream(2, 4))
-        sol = system.solve()[0]
+        sums = assemble_system(
+            x, y, LN_PARAMS, DELTA, aug, Regression(2, 1, mean_drift), 16, RngStream(2, 4)
+        )
+        sol = _system(sums).solve()[0]
         n_used = len(y) - 2  # intervals 1..N-1
         expected = (y[-1] - y[1]) / (n_used * DELTA)
         assert sol == pytest.approx(expected, rel=1e-10)
@@ -203,19 +260,19 @@ def test_constant_series_zero_noise_offset_sums():
     aug = 4
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, aug)
     eps = step_major(np.zeros((n - 2, 3, aug - 1, 2)))
-    system = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, 3, RngStream(0), eps=eps)
+    sums = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, 3, RngStream(0), eps=eps)
     d = DELTA / aug
     g_const = 0.5 * NL_PARAMS.sigma * d
     f_vals = _variance_design(-1.5, NL_PARAMS)
     expected = (n - 2) * aug * g_const * f_vals
-    assert np.allclose(system.moment, expected, rtol=1e-12)
+    assert np.allclose(_system(sums).moment, expected, rtol=1e-12)
 
 
 def test_gram_matrix_exactly_symmetric():
     x, y = _series_xy(NL_PARAMS, NL, 300, 23)
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, 4)
-    system = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, 8, RngStream(5, 2))
-    assert np.max(np.abs(system.gram - system.gram.T)) == 0.0
+    sums = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, 8, RngStream(5, 2))
+    assert np.max(np.abs(sums.gram - sums.gram.T)) == 0.0
 
 
 def _chunk_points(chunk, n_bridges, aug):
@@ -252,7 +309,7 @@ def test_assembly_invariant_to_chunking(chunk):
             assert nlsv.eml.chunk_intervals(8, 4) == chunk
             chunked = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
         assert np.array_equal(whole.gram, chunked.gram)
-        assert np.array_equal(whole.moment, chunked.moment)
+        assert np.array_equal(whole.cross, chunked.cross)
 
 
 def test_assembly_without_eps_draws_per_chunk(monkeypatch):
@@ -273,7 +330,7 @@ def test_assembly_without_eps_draws_per_chunk(monkeypatch):
     assert sizes and max(sizes) <= chunk
     eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), n_bridges, aug, DELTA / aug)
     full = assemble_system(x, y, NL_PARAMS, DELTA, aug, reg, n_bridges, RngStream(3, 9), eps=eps)
-    assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.moment, full.moment)
+    assert np.array_equal(drawn.gram, full.gram) and np.array_equal(drawn.cross, full.cross)
 
 
 def test_default_chunking_matches_single_intervals(monkeypatch):
@@ -283,7 +340,7 @@ def test_default_chunking_matches_single_intervals(monkeypatch):
     monkeypatch.setattr(nlsv.eml, "CHUNK_POINTS", _chunk_points(1, 8, 4))
     single = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW)
     assert np.array_equal(default.gram, single.gram)
-    assert np.array_equal(default.moment, single.moment)
+    assert np.array_equal(default.cross, single.cross)
 
 
 def test_default_chunk_bounds_the_draws(monkeypatch):
@@ -318,11 +375,11 @@ def _pool_on(monkeypatch, workers):
 def _on_threads(regression, names):
     """``regression`` that records the names of the threads it runs on."""
 
-    def recorded(step, delta):
+    def recorded(step, delta, rows):
         names.add(threading.current_thread().name)
-        return regression(step, delta)
+        regression.write(step, delta, rows)
 
-    return recorded
+    return regression._replace(write=recorded)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -339,7 +396,7 @@ def test_assembly_on_the_pool_is_bitwise_serial(monkeypatch, workers):
             pooled = assemble_system(x, y, NL_PARAMS, DELTA, 4, _on_threads(reg, names),
                                      **_CHUNK_KW, **kw)
             assert np.array_equal(whole.gram, pooled.gram)
-            assert np.array_equal(whole.moment, pooled.moment)
+            assert np.array_equal(whole.cross, pooled.cross)
             assert names and all(n.startswith("nlsv-chunks") for n in names)
 
 
@@ -413,7 +470,29 @@ def test_assembly_on_the_pool_is_bitwise_serial_at_any_size(n, chunk, workers):
             for kw in ({}, {"eps": eps}):
                 pooled = assemble_system(x, y, NL_PARAMS, DELTA, 4, reg, **_CHUNK_KW, **kw)
                 assert np.array_equal(serial.gram, pooled.gram)
-                assert np.array_equal(serial.moment, pooled.moment)
+                assert np.array_equal(serial.cross, pooled.cross)
+
+
+@pytest.mark.parametrize("draws", ["cached", "per-block", "pool"])
+@pytest.mark.parametrize("rho", [-0.99, -0.68, 0.0, 0.68, 0.99])
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)], ids=["LN", "NL"])
+def test_stock_drift_matches_the_explicit_offset(monkeypatch, spec, params, rho, draws):
+    # The offset by linearity, with the variance coefficients applied
+    # after the sums, solves the regression whose offset evaluates the
+    # variance residual at every lattice point, to rounding: on
+    # pre-drawn innovations, on innovations drawn block by block, and on
+    # the pool threads.
+    p = dataclasses.replace(params, rho=rho)
+    x, y = _series_xy(NL_PARAMS, NL, 150, 29)
+    eps = None
+    if draws == "cached":
+        eps = draw_bridge_eps(RngStream(3, 9), np.arange(1, len(y) - 1), 8, 4, DELTA / 4)
+    if draws == "pool":
+        _pool_on(monkeypatch, 2)
+    reference = assemble_system(x, y, p, DELTA, 4, _explicit_stock(p, spec), **_CHUNK_KW, eps=eps)
+    expected = _system(reference).solve()
+    got = solve_stock_drift(x, y, p, spec, DELTA, 4, 8, RngStream(3, 9), eps=eps)
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 @given(
@@ -445,7 +524,7 @@ def test_assembly_rejects_innovations_of_another_shape():
 def test_duplicated_system_same_solution():
     x, y = _series_xy(NL_PARAMS, NL, 300, 31)
     reg = _regression(solve_variance_drift, NL_PARAMS, NL, 2)
-    system = assemble_system(x, y, NL_PARAMS, DELTA, 2, reg, 4, RngStream(8))
+    system = _system(assemble_system(x, y, NL_PARAMS, DELTA, 2, reg, 4, RngStream(8)))
     doubled = LinearSystem(gram=2.0 * system.gram, moment=2.0 * system.moment)
     assert np.allclose(system.solve(), doubled.solve(), rtol=1e-12)
 
@@ -454,11 +533,13 @@ def test_ill_conditioned_duplicate_basis():
     x, y = _series_xy(LN_PARAMS, LN, 100, 37)
     sigma = LN_PARAMS.sigma
 
-    def duplicated(step, delta):
-        f = 1.0 / (sigma * np.exp(sigma * step.y))
-        return np.stack(np.broadcast_arrays(f, f, step.dy), axis=1)
+    def duplicated(step, delta, rows):
+        rows[0] = rows[1] = 1.0 / (sigma * np.exp(sigma * step.y))
+        rows[2] = step.dy
 
-    system = assemble_system(x, y, LN_PARAMS, DELTA, 1, duplicated, 1, RngStream(0))
+    system = _system(
+        assemble_system(x, y, LN_PARAMS, DELTA, 1, Regression(3, 2, duplicated), 1, RngStream(0))
+    )
     with pytest.raises(IllConditionedSystem) as err:
         system.solve()
     assert err.value.condition > 1e12

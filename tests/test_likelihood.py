@@ -626,8 +626,8 @@ def test_total_loglik_rejects_innovations_of_another_shape():
 
 class _SlabReads(np.ndarray):
     """Innovations that record, for every slab read from them by integer
-    indices alone, such as a walk step's ``eps[m, k]``, whether it is
-    C-contiguous.  Views share the record."""
+    indices alone, such as a walk step's ``eps[m, k]``, its indices and
+    whether it is C-contiguous.  Views share the record."""
 
     def __array_finalize__(self, obj):
         self.reads = getattr(obj, "reads", None)
@@ -636,7 +636,7 @@ class _SlabReads(np.ndarray):
         out = super().__getitem__(key)
         keys = key if isinstance(key, tuple) else (key,)
         if all(isinstance(k, int) for k in keys):
-            self.reads.append(out.flags.c_contiguous)
+            self.reads.append((keys, out.flags.c_contiguous))
         return out
 
 
@@ -662,7 +662,27 @@ def test_every_step_reads_contiguous_innovations(stage, monkeypatch):
         )
     # Every block of at most 7 intervals reads at least the walk's 2(M-1) slabs.
     assert len(eps.reads) >= 2 * 3 * -(-68 // 7)
-    assert all(eps.reads)
+    assert all(contiguous for _, contiguous in eps.reads)
+
+
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)], ids=["LN", "NL"])
+def test_variance_solve_reads_no_price_innovation(spec, params, monkeypatch):
+    # The variance system walks the Y bridge alone: of each step's two
+    # slabs it reads the variance innovation eps[m, 1], contiguous, and
+    # never the price innovation eps[m, 0].
+    monkeypatch.setattr(eml, "CHUNK_POINTS", 7 * 8 * 5)
+    series, _ = _unchunked_loglik()
+    cfg = _cfg(aug_steps=4, mc_draws=8)
+    delta = cfg.delta_obs / cfg.aug_steps
+    eps = eml.draw_bridge_eps(RngStream(8, 1), np.arange(1, 69), 8, 4, delta).view(_SlabReads)
+    eps.reads = []
+    x, y = series_to_lattice_coords(series, params, cfg.swap_tenor)
+    eml.solve_variance_drift(
+        x, y, params, spec, cfg.delta_obs, cfg.aug_steps, 8, RngStream(8, 1), eps=eps
+    )
+    # Every block of at most 7 intervals reads the walk's M-1 variance slabs.
+    assert len(eps.reads) == 3 * -(-68 // 7)
+    assert all(keys[1] == 1 and contiguous for keys, contiguous in eps.reads)
 
 
 _LOG_WEIGHT = st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf))
