@@ -100,11 +100,8 @@ class RunConfig:
         try:
             hs = tuple(int(h) for h in str(self.horizons).replace(" ", "").split(",") if h)
         except ValueError:
-            hs = ()
-        if not hs or any(h < 1 for h in hs):
-            raise DataError(f"config key 'horizons': invalid horizons {self.horizons!r}")
-        rv = tuple(h for h in hs if h > 1)
-        return HorizonGrid(returns_iv=hs, rv=rv)
+            raise DataError(f"config key 'horizons': invalid horizons {self.horizons!r}") from None
+        return HorizonGrid(returns_iv=hs, rv=tuple(h for h in hs if h > 1))
 
     def likelihood_config(self) -> LikelihoodConfig:
         return LikelihoodConfig(

@@ -45,7 +45,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import variance_drift_over_v
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
 from .simulate import BridgeStep, modified_bridge_walk, y_bridge_walk
@@ -96,24 +95,6 @@ class LinearSystem:
             raise IllConditionedSystem(cond)
         z = np.linalg.solve(scaled, scale * self.moment)
         return scale * z
-
-
-def variance_residual(dy, v0, delta: float, params: ParamVector, spec: ModelSpec) -> np.ndarray:
-    """Variance-equation innovation at the current drift coefficients.
-
-    eps_v = dy - mu_Y(y0) * delta for the increment dy = y1 - y0, with the
-    log-variance drift mu_Y = (variance drift)/(sigma V) - sigma/2
-    evaluated at the departing variance ``v0`` = exp(sigma * y0),
-    distributed N(0, delta) when the coefficients are correct.  The drift
-    term is accumulated in place, as the simulated likelihood evaluates it
-    at every step of every walk.
-    """
-    sigma = params.sigma
-    step = variance_drift_over_v(v0, params, spec)
-    step /= sigma
-    step -= 0.5 * sigma
-    step *= delta
-    return dy - step
 
 
 def chunk_intervals(n_draws: int, aug_steps: int) -> int:

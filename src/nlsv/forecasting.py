@@ -48,13 +48,13 @@ from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
     SWAP_TENOR_YEARS,
+    drift_p,
     exp_averages,
     iv_to_v,
+    log_variance_drift,
     swap_coefficients,
-    variance_drift,
-    variance_drift_over_v,
 )
-from .params import OUTER, DomainViolation, Family, Measure, ModelSpec, ParamVector
+from .params import OUTER, DomainViolation, Family, ModelSpec, ParamVector
 
 #: Stream id offset that forecasts once drew from.  Nothing reads it; it is
 #: kept only because the benchmark's forecast workload spells it, until the
@@ -73,11 +73,20 @@ class HorizonGrid:
 
     Returns and implied variance are forecast from one day to half a
     trading year; realized variance starts at one week because it needs a
-    window.
+    window.  Each tuple holds distinct horizons >= 1, and ``returns_iv``
+    at least one: a horizon of 0 would read a chain row no step fills, and
+    a repeated one would record every origin twice.
     """
 
     returns_iv: tuple[int, ...] = (1, 5, 22, 66, 131)
     rv: tuple[int, ...] = (5, 22, 66, 131)
+
+    def __post_init__(self):
+        for hs in (self.returns_iv, self.rv):
+            if any(h < 1 for h in hs) or len(set(hs)) < len(hs):
+                raise DomainViolation(f"horizons must be distinct and >= 1, got {hs}")
+        if not self.returns_iv:
+            raise DomainViolation("horizons: need at least one return and IV horizon")
 
     def for_target(self, target: str) -> tuple[int, ...]:
         return self.rv if target == "rv" else self.returns_iv
@@ -248,9 +257,8 @@ class EulerChain:
 
 
 def _step_means(y, params: ParamVector, spec: ModelSpec, dt: float) -> np.ndarray:
-    """Mean of one Euler step of Y from each ``y``: y + (mu_V/(sigma V) - sigma/2)*dt."""
-    over_v = variance_drift_over_v(np.exp(params.sigma * y), params, spec)
-    return y + (over_v / params.sigma - 0.5 * params.sigma) * dt
+    """Mean of one Euler step of Y from each ``y``: y + mu_Y*dt."""
+    return y + log_variance_drift(np.exp(params.sigma * y), params, spec) * dt
 
 
 def _kernel(means, edges: np.ndarray, sd: float):
@@ -572,7 +580,7 @@ def risk_premium_series(
     (b1 - b1_q)/sigma for LN, state-dependent for NL.
     """
     v = iv_to_v(series.iv, params)
-    excess = variance_drift(v, params, spec, Measure.P) - variance_drift(v, params, None, Measure.Q)
+    excess = drift_p(v, params, spec)[1] - (params.b0_q + params.b1_q * v)
     return excess / (params.sigma * v)
 
 

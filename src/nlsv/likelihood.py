@@ -34,6 +34,7 @@ from .model import (
     SWAP_TENOR_YEARS,
     gamma_transform,
     iv_to_v,
+    log_variance_drift,
     swap_coefficients,
 )
 from .params import OUTER, DomainViolation, Family, ModelSpec, ParamVector
@@ -60,6 +61,9 @@ class LikelihoodConfig:
     most ``eml.CHUNK_POINTS`` lattice points.  From ``eml.POOL_POINTS``
     points per worker, ``eml.WORKERS`` threads (one per CPU this process
     may use) share those points, with bitwise the same results.
+    ``rate`` and ``dampening_c`` are read only by the benchmark, which
+    builds its parameter vectors from them, until the next benchmark
+    change deletes them.
     """
 
     aug_steps: int = 24
@@ -108,7 +112,7 @@ class FitResult:
         return {
             "kind": "fit_result",
             "family": self.spec.family.value,
-            "params": {k: getattr(self.params, k) for k in self.spec.param_names + ("r", "c")},
+            "params": {k: getattr(self.params, k) for k in self.spec.param_names},
             "loglik": self.loglik,
             "param_names": list(self.param_names),
             "covariance": [[float(v) for v in row] for row in self.covariance],
@@ -147,7 +151,9 @@ def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
     rho = params.rho
     v = s * s
     rx = dx - (params.a0 + params.a1 * v) * delta
-    ry = eml.variance_residual(dy, v, delta, params, spec)
+    ry = log_variance_drift(v, params, spec)
+    ry *= delta
+    ry = dy - ry
     return (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) / v / (
         delta * (1.0 - rho**2)
     )
@@ -444,9 +450,7 @@ def fit(
         )
     rng_eml = RngStream(config.seed, STREAM_EML)
     rng_sml = RngStream(config.seed, STREAM_SML)
-    base = ParamVector(
-        sigma=1.0, rho=0.0, b0_q=0.05, b1_q=0.0, r=config.rate, c=config.dampening_c
-    )
+    base = ParamVector(sigma=1.0, rho=0.0, b0_q=0.05, b1_q=0.0)
 
     start = moment_init(series, config)
     if init:

@@ -1,19 +1,23 @@
-"""Model mathematics: drifts under both measures, the log-variance
-transform and the variance-swap coefficients tying the implied-variance
-index to instantaneous variance.
+"""Model mathematics: the real-world drifts, the log-variance transform
+and the variance-swap coefficients tying the implied-variance index to
+instantaneous variance.
 
 All functions accept scalar or ndarray variance inputs and broadcast.
-Conventions:
+The dynamics are those of the physical measure P,
 
-    mu_Q(V) = ( r - V/2,  b0_q + b1_q * V )
-    mu_P(V) = ( a0 + a1 * V,  variance drift per family )
+    mu_P(V) = ( a0 + a1 * V,  variance drift per family ),
+
+and each family's drift is written once, in :func:`variance_drift_over_v`.
+The pricing measure Q enters only through its affine variance drift
+b0_q + b1_q * V: in the swap coefficients (A, B) and in the variance risk
+premium.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector
+from .params import DomainViolation, Family, ModelSpec, ParamVector
 
 #: Trading-day calendar constants used throughout: 262 days per year, a
 #: 22-day month for the implied-variance tenor.
@@ -32,30 +36,6 @@ def _check_variance(v) -> np.ndarray:
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
         raise DomainViolation("variance must be finite and > 0")
     return v
-
-
-def price_drift(v, params: ParamVector, measure: Measure) -> np.ndarray:
-    """Drift of the log price: r - V/2 under Q, a0 + a1*V under P."""
-    v = _check_variance(v)
-    if measure is Measure.Q:
-        return params.r - 0.5 * v
-    return params.a0 + params.a1 * v
-
-
-def variance_drift(
-    v, params: ParamVector, spec: ModelSpec | None, measure: Measure
-) -> np.ndarray:
-    """Drift of the instantaneous variance under the requested measure.
-
-    ``spec`` selects the drift family under P and is ignored under Q,
-    where the drift is always the affine b0_q + b1_q * V.
-    """
-    v = _check_variance(v)
-    if measure is Measure.Q:
-        return params.b0_q + params.b1_q * v
-    if spec is None:
-        raise DomainViolation("a model family is required under the physical measure")
-    return v * variance_drift_over_v(v, params, spec)
 
 
 def variance_drift_over_v(v, params: ParamVector, spec: ModelSpec):
@@ -83,11 +63,25 @@ def variance_drift_over_v(v, params: ParamVector, spec: ModelSpec):
 
 
 def drift_p(v, params: ParamVector, spec: ModelSpec) -> np.ndarray:
-    """Real-world drift vector for the LN or NL family."""
+    """Real-world drift vector (a0 + a1*V, variance drift) for the LN or
+    NL family, shape (2, ...)."""
     v = _check_variance(v)
-    return np.stack(
-        [price_drift(v, params, Measure.P), variance_drift(v, params, spec, Measure.P)]
-    )
+    return np.stack([params.a0 + params.a1 * v, v * variance_drift_over_v(v, params, spec)])
+
+
+def log_variance_drift(v, params: ParamVector, spec: ModelSpec) -> np.ndarray:
+    """Real-world drift of the log-variance coordinate Y = log(V)/sigma at
+    V = ``v``.
+
+    By Ito's formula mu_Y = (variance drift)/(sigma V) - sigma/2, and the
+    diffusion coefficient of Y is exactly 1, which is what makes Y the
+    natural simulation and estimation coordinate.  No domain checks, as in
+    :func:`variance_drift_over_v`; the terms are applied in place.
+    """
+    out = variance_drift_over_v(v, params, spec)
+    out /= params.sigma
+    out -= 0.5 * params.sigma
+    return out
 
 
 def gamma_transform(v, sigma: float) -> np.ndarray:
@@ -164,15 +158,3 @@ def iv_to_v(iv, params: ParamVector, delta: float = SWAP_TENOR_YEARS) -> np.ndar
             f"(IV - A)/B non-positive for {n_bad} point(s); parameters inconsistent with data"
         )
     return v
-
-
-def y_drift(y, params: ParamVector, spec: ModelSpec, measure: Measure) -> np.ndarray:
-    """Drift of the log-variance coordinate Y = log(V)/sigma.
-
-    By Ito's formula, mu_Y = (variance drift)/(sigma * V) - sigma/2 and the
-    diffusion coefficient is exactly 1, which is what makes Y the natural
-    simulation and estimation coordinate.
-    """
-    y = np.asarray(y, dtype=float)
-    v = np.exp(params.sigma * y)
-    return variance_drift(v, params, spec, measure) / (params.sigma * v) - 0.5 * params.sigma

@@ -1,10 +1,11 @@
 """Parameter containers and model family tags.
 
 The joint system is a log price X and an instantaneous variance V with a
-GARCH-diffusion volatility structure.  Under the pricing measure the
-variance drift is affine, b0_q + b1_q * V, and the vol-of-vol is sigma * V
-with leverage correlation rho.  Under the real-world measure two drift
-families are supported:
+GARCH-diffusion volatility structure: the vol-of-vol is sigma * V with
+leverage correlation rho.  Under the pricing measure, which enters only
+through the swap relation IV = A + B*V and the variance risk premium, the
+variance drift is affine, b0_q + b1_q * V.  The dynamics are simulated
+and estimated under the real-world measure, with two drift families:
 
     LN:  dV drift = b0_q + b1 * V
     NL:  dV drift = b0 + b1 * V + b2 * V^2 + b3 / V
@@ -35,10 +36,13 @@ class Family(str, Enum):
 
 
 class Measure(str, Enum):
-    """Probability measure: physical (P) or pricing (Q)."""
+    """Probability measure of simulated dynamics.  Only the physical
+    measure P is simulated or estimated, so it is the one member; the
+    enum stays because the benchmark passes ``Measure.P`` to
+    :func:`nlsv.simulate.simulate_paths`, until the next benchmark change
+    deletes it."""
 
     P = "P"
-    Q = "Q"
 
 
 class DomainViolation(ValueError):
@@ -81,9 +85,10 @@ class ParamVector:
     Units are annualized: drifts are per year, sigma per sqrt(year).
     ``b0``, ``b2``, ``b3`` are meaningful only for the NL family; the LN
     variance drift intercept is ``b0_q`` itself.  ``r`` (short rate) and
-    ``c`` (dampening constant) enter no value the package outputs: ``r``
-    only the pricing-measure price drift, which no output reads, and ``c``
-    only :meth:`validate`.  They stay because the benchmark spells them.
+    ``c`` (dampening constant) enter nothing: the package computes no
+    pricing-measure price drift and uses the undampened drifts.  They stay,
+    unchecked, because the benchmark sets them, until the next benchmark
+    change deletes them.
     """
 
     sigma: float
@@ -107,9 +112,7 @@ class ParamVector:
             raise DomainViolation(f"|rho| must be < 1, got {self.rho}")
         if not (self.b0_q > 0.0):
             raise DomainViolation(f"b0_q must be > 0, got {self.b0_q}")
-        if not (self.c > 0.0):
-            raise DomainViolation(f"c must be > 0, got {self.c}")
-        for name in ("b1_q", "a0", "a1", "b0", "b1", "b2", "b3", "r"):
+        for name in ("b1_q", "a0", "a1", "b0", "b1", "b2", "b3"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainViolation(f"{name} must be finite")
         return self

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import price_drift, y_drift
+from .model import drift_p
 from .params import DomainViolation, Measure, ModelSpec, ParamVector, State
 from .rng import RngStream
 
@@ -49,11 +49,11 @@ def euler_step(
     y,
     params: ParamVector,
     spec: ModelSpec,
-    measure: Measure,
     dt: float,
     eps,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (x, y) by one Euler step of size dt.
+    """Advance (x, y) by one Euler step of size dt under the real-world
+    drifts of ``spec``.
 
     ``eps`` has shape (..., 2) with columns (price shock, variance shock),
     each distributed N(0, dt).  Broadcasts over leading dimensions; a
@@ -66,13 +66,13 @@ def euler_step(
     eps = np.asarray(eps, dtype=float)
     eps_x, eps_v = eps[..., 0], eps[..., 1]
     v = np.exp(params.sigma * y)
-    y_new = y + y_drift(y, params, spec, measure) * dt + eps_v
+    mu_x, mu_v = drift_p(v, params, spec)
+    # Y's drift as mu_V/(sigma V) - sigma/2 from the drift vector, not
+    # model.log_variance_drift, which rounds differently: the simulated
+    # series stay bitwise those of earlier versions.
+    y_new = y + (mu_v / (params.sigma * v) - 0.5 * params.sigma) * dt + eps_v
     sq = np.exp(0.5 * params.sigma * y)
-    x_new = (
-        x
-        + price_drift(v, params, measure) * dt
-        + sq * (params.rho * eps_v + np.sqrt(1.0 - params.rho**2) * eps_x)
-    )
+    x_new = x + mu_x * dt + sq * (params.rho * eps_v + np.sqrt(1.0 - params.rho**2) * eps_x)
     return x_new, y_new
 
 
@@ -87,12 +87,15 @@ def simulate_paths(
     rng: RngStream,
     record_every: int = 1,
 ) -> PathEnsemble:
-    """Simulate an ensemble of independent Euler paths from ``initial``.
+    """Simulate an ensemble of independent Euler paths from ``initial``
+    under the real-world drifts of ``spec``.
 
-    Deterministic given ``rng``.  ``record_every`` thins the stored grid
-    (it must divide n_steps); draws are consumed in step-major order so
-    two calls with the same stream are bitwise identical regardless of
-    the recording stride.
+    ``measure`` is unread: the dynamics are those of the physical measure,
+    and it stays only because the benchmark passes ``Measure.P`` here by
+    position.  Deterministic given ``rng``.  ``record_every`` thins the
+    stored grid (it must divide n_steps); draws are consumed in step-major
+    order so two calls with the same stream are bitwise identical
+    regardless of the recording stride.
     """
     if n_paths < 1:
         raise DomainViolation("n_paths must be >= 1")
@@ -111,7 +114,7 @@ def simulate_paths(
     vs[:, 0] = np.exp(params.sigma * y)
     for step in range(1, n_steps + 1):
         eps = gen.standard_normal((n_paths, 2)) * sqrt_dt
-        x, y = euler_step(x, y, params, spec, measure, dt, eps)
+        x, y = euler_step(x, y, params, spec, dt, eps)
         if step % record_every == 0:
             k = step // record_every
             xs[:, k] = x

@@ -194,11 +194,14 @@ def test_non_integer_config_value_nonzero_exit(sim_dir, tmp_path, capsys, text):
         ("simulate", "", {"NLSV_SEED": "abc"}, "seed"),
         ("simulate", "start_date = notadate\n", {}, "start_date"),
         ("rolling", "horizons = 1,x\n", {}, "horizons"),
+        ("rolling", "horizons = 0,5\n", {}, "horizons"),
         ("rolling", "split_date = 1999-13-45\n", {}, "split_date"),
         ("rolling", "rate = 0.11\n", {}, "rate"),
         ("simulate", "dampening_c = 1e-6\n", {}, "dampening_c"),
     ],
-    ids=["NLSV_SEED", "start_date", "horizons", "split_date", "rate", "dampening_c"],
+    ids=[
+        "NLSV_SEED", "start_date", "horizons", "horizons_zero", "split_date", "rate", "dampening_c"
+    ],
 )
 def test_unparseable_setting_nonzero_exit(
     sim_dir, tmp_path, capsys, monkeypatch, command, extra, env, key

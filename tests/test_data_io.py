@@ -16,6 +16,7 @@ from nlsv.data_io import (
     write_series_csv,
 )
 from nlsv.forecasting import ForecastReport
+from nlsv.likelihood import FitResult
 
 from conftest import LN, LN_PARAMS, make_series
 
@@ -172,6 +173,21 @@ def test_empty_report_round_trips(tmp_path):
     assert back.cells == {}
     save_results(back, tmp_path / "report2.json")
     assert (tmp_path / "report2.json").read_bytes() == path.read_bytes()
+
+
+def test_fit_result_writes_estimated_params_and_loads_old_files(tmp_path):
+    # A fit file holds the estimated parameters only; one written when it
+    # also held the unread r and c still loads, to the same parameters.
+    fit = FitResult(
+        params=LN_PARAMS, spec=LN, loglik=1.5, covariance=np.eye(7),
+        std_errors={}, converged=True, n_iterations=3, n_evaluations=9, seed=4,
+    )
+    payload = fit.to_dict()
+    assert list(payload["params"]) == list(LN.param_names)
+    old = payload | {"params": payload["params"] | {"r": 0.05, "c": 1e-6}}
+    for data in (payload, old):
+        save_results(data, tmp_path / "fit.json")
+        assert FitResult.from_dict(load_results(tmp_path / "fit.json")).params == LN_PARAMS
 
 
 # --------------------------------------------------------------- config

@@ -3,7 +3,9 @@
 A module-level function or class, or a method other than a dunder, that
 no module of ``nlsv`` references by name or attribute (``__init__.py``'s
 re-exports do not count) is reachable only from tests: delete it, or
-allow it below with the reason it stays.
+allow it below with the reason it stays.  The same holds for a member of
+an ``Enum`` that no module references by name, as ``Family.RW``: it is a
+case that only tests reach.
 
 A parameter of a function, method or nested function that its body
 never reads is a setting with no effect: delete it.  Lambdas are exempt,
@@ -32,6 +34,13 @@ ALLOWED = {
 }
 
 
+def _is_enum(node: ast.ClassDef) -> bool:
+    return any(
+        (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) == "Enum"
+        for base in node.bases
+    )
+
+
 def _definitions(stem: str, tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -40,6 +49,10 @@ def _definitions(stem: str, tree: ast.Module):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield item.name, f"{stem}.{node.name}.{item.name}"
+                if _is_enum(node) and isinstance(item, ast.Assign):
+                    for target in item.targets:
+                        if isinstance(target, ast.Name):
+                            yield target.id, f"{stem}.{node.name}.{target.id}"
 
 
 def test_every_definition_is_referenced_in_the_package():
@@ -49,7 +62,7 @@ def test_every_definition_is_referenced_in_the_package():
         if stem == "__init__":
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -98,6 +111,10 @@ UNREAD_ALLOWED = {
     # benchmark's evaluation passes the price path here by position; the
     # next benchmark change deletes it.
     "eml.solve_variance_drift.x_obs",
+    # Paths are always simulated under the physical measure, but the
+    # benchmark's series set-up passes ``Measure.P`` here by position; the
+    # next benchmark change deletes it.
+    "simulate.simulate_paths.measure",
 }
 
 

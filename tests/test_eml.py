@@ -18,16 +18,22 @@ from nlsv.eml import (
     draw_bridge_eps,
     solve_stock_drift,
     solve_variance_drift,
-    variance_residual,
 )
-from nlsv.model import gamma_transform, y_drift
-from nlsv.params import DomainViolation, Measure
+from nlsv.model import drift_p, gamma_transform, log_variance_drift
+from nlsv.params import DomainViolation
 from nlsv.rng import RngStream
 from nlsv.simulate import modified_bridge_walk
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, make_series, step_major
 
 DELTA = 1 / 262
+
+
+def _mu_y(y, params, spec):
+    """Reference drift of Y = log(V)/sigma from the real-world drift
+    vector: mu_V/(sigma V) - sigma/2 at V = exp(sigma*y)."""
+    v = np.exp(params.sigma * np.asarray(y, dtype=float))
+    return drift_p(v, params, spec)[1] / (params.sigma * v) - 0.5 * params.sigma
 
 
 def _series_xy(params, spec, n, seed, v0=0.03):
@@ -90,7 +96,7 @@ def _explicit_stock(params, spec):
         np.divide(1.0, rs, out=rows[0])
         np.divide(s, root, out=rows[1])
         g = rows[2]
-        np.multiply(variance_residual(step.dy, s * s, delta, params, spec), -rho, out=g)
+        np.multiply(step.dy - _mu_y(step.y, params, spec) * delta, -rho, out=g)
         g *= s
         g += step.dx
         g /= rs
@@ -132,7 +138,7 @@ def test_nl_basis_matches_y_drift():
     )
     coeffs = np.array([NL_PARAMS.b0, NL_PARAMS.b1, NL_PARAMS.b2, NL_PARAMS.b3])
     total = np.einsum("l,bl->b", coeffs, f[:, :, 0, 0])
-    expected = y_drift(y, NL_PARAMS, NL, Measure.P) + 0.5 * NL_PARAMS.sigma
+    expected = _mu_y(y, NL_PARAMS, NL) + 0.5 * NL_PARAMS.sigma
     assert np.allclose(total, expected, rtol=1e-12)
     assert np.allclose(f[:, :, 0, 0], _variance_design(y, NL_PARAMS), rtol=1e-14)
 
@@ -168,15 +174,17 @@ def test_stock_regression_removes_the_leverage_term():
     g = dx_rs - NL_PARAMS.rho / np.sqrt(1 - NL_PARAMS.rho**2) * (g_v - DELTA * drift)
     sigma, rho = NL_PARAMS.sigma, NL_PARAMS.rho
     s, r = np.exp(0.5 * sigma * y0), np.sqrt(1 - rho**2)
-    eps_v = y1 - y0 - y_drift(y0, NL_PARAMS, NL, Measure.P) * DELTA
+    eps_v = y1 - y0 - _mu_y(y0, NL_PARAMS, NL) * DELTA
     assert np.allclose(f[:, :, 0, 0], np.stack([1 / (r * s), s / r], -1), rtol=1e-14)
     assert np.allclose(g[:, 0, 0], (x1 - x0 - rho * s * eps_v) / (r * s), rtol=1e-12)
 
 
 def test_variance_residual_is_centered_innovation():
+    # The variance-equation innovation at the true drift, formed as the
+    # simulated likelihood forms it from model.log_variance_drift.
     x, y = _series_xy(NL_PARAMS, NL, 800, 51)
     y0 = y[:-1]
-    eps = variance_residual(np.diff(y), np.exp(NL_PARAMS.sigma * y0), DELTA, NL_PARAMS, NL)
+    eps = np.diff(y) - log_variance_drift(np.exp(NL_PARAMS.sigma * y0), NL_PARAMS, NL) * DELTA
     # innovations are N(0, delta): mean near 0, variance near delta
     assert abs(eps.mean()) < 4 * np.sqrt(DELTA / len(eps))
     assert eps.var() == pytest.approx(DELTA, rel=0.15)
@@ -194,8 +202,8 @@ def test_variance_residual_matches_y_drift(spec, params, v0, dy, delta):
     # larger of the two parts.
     y0 = np.array([gamma_transform(v0, params.sigma)])
     y1 = y0 + dy
-    step = y_drift(y0, params, spec, Measure.P) * delta
-    got = variance_residual(y1 - y0, np.exp(params.sigma * y0), delta, params, spec)
+    step = _mu_y(y0, params, spec) * delta
+    got = (y1 - y0) - log_variance_drift(np.exp(params.sigma * y0), params, spec) * delta
     scale = np.abs(y1 - y0) + np.abs(step)
     assert np.all(np.abs(got - (y1 - y0 - step)) <= 1e-12 * scale)
 

@@ -85,6 +85,19 @@ def test_zero_horizon_returns_current_state():
         assert out[model]["iv"][0] == 0.04
 
 
+@pytest.mark.parametrize(
+    "returns_iv, rv",
+    [((0, 1), (5,)), ((1, 5), (0,)), ((1, 5, 5), (5,)), ((1,), (5, 22, 5)), ((), (5,))],
+    ids=["zero", "zero-rv", "repeat", "repeat-rv", "empty"],
+)
+def test_horizon_grid_rejects_zero_repeated_or_no_horizons(returns_iv, rv):
+    # A horizon of 0 would read an NL chain row that no step fills (the
+    # current state is forecast at h = 0 already), and a repeated one would
+    # record every origin twice.
+    with pytest.raises(DomainViolation, match="horizons"):
+        HorizonGrid(returns_iv=returns_iv, rv=rv)
+
+
 def test_common_random_numbers_across_models():
     # Two entries with identical dynamics share one chain and forecast alike.
     out = forecast_targets(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import integrate
 from scipy.special import logsumexp
 
 from nlsv import eml, likelihood
@@ -26,8 +27,8 @@ from nlsv.likelihood import (
     series_to_lattice_coords,
     total_loglik,
 )
-from nlsv.model import gamma_transform, iv_to_v, swap_coefficients, v_to_iv
-from nlsv.params import DomainViolation, Measure, ParamVector
+from nlsv.model import drift_p, gamma_transform, iv_to_v, swap_coefficients, v_to_iv
+from nlsv.params import DomainViolation, ParamVector
 from nlsv.rng import RngStream
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points, make_series, step_major
@@ -37,6 +38,15 @@ DELTA = 1 / 262
 # Zero-drift unit-diffusion configuration: vanishing vol-of-vol makes
 # V = exp(sigma*y) constant at 1, all drifts off.
 BROWNIAN = ParamVector(sigma=1e-9, rho=0.0, b0_q=0.0, b1_q=0.0, a0=0.0, a1=0.0, b1=0.0, r=0.0)
+
+
+def _drifts(y, params, spec):
+    """Reference drifts of the price and of Y = log(V)/sigma at
+    V = exp(sigma*y), from the real-world drift vector:
+    (a0 + a1*V, mu_V/(sigma V) - sigma/2)."""
+    v = np.exp(params.sigma * np.asarray(y, dtype=float))
+    mu_x, mu_v = drift_p(v, params, spec)
+    return mu_x, mu_v / (params.sigma * v) - 0.5 * params.sigma
 
 
 def _cfg(**kw):
@@ -123,15 +133,8 @@ def euler_density(u_next, u_curr, params, spec, delta):
 def test_euler_density_at_mode():
     u0 = np.array([0.0, -1.5])
     p = LN_PARAMS
-    from nlsv.model import price_drift, y_drift
-
     v = math.exp(p.sigma * u0[1])
-    mean = np.array(
-        [
-            price_drift(v, p, Measure.P) * DELTA,
-            y_drift(u0[1], p, LN, Measure.P) * DELTA,
-        ]
-    )
+    mean = np.array(_drifts(u0[1], p, LN)) * DELTA
     ld = euler_density(u0 + mean, u0, p, LN, DELTA)
     det = v * (1 - p.rho**2) * DELTA**2
     assert ld == pytest.approx(-math.log(2 * math.pi) - 0.5 * math.log(det), rel=1e-12)
@@ -139,19 +142,15 @@ def test_euler_density_at_mode():
 
 def test_euler_density_factorizes_at_rho_zero():
     p = dataclasses.replace(LN_PARAMS, rho=0.0)
-    from nlsv.model import price_drift, y_drift
     from scipy.stats import norm
 
     u0 = np.array([0.3, -1.2])
     u1 = np.array([0.35, -1.1])
     v = math.exp(p.sigma * u0[1])
+    mu_x, mu_y = _drifts(u0[1], p, LN)
     ld = euler_density(u1, u0, p, LN, DELTA)
-    lx = norm.logpdf(
-        u1[0] - u0[0], loc=price_drift(v, p, Measure.P) * DELTA, scale=math.sqrt(v * DELTA)
-    )
-    ly = norm.logpdf(
-        u1[1] - u0[1], loc=y_drift(u0[1], p, LN, Measure.P) * DELTA, scale=math.sqrt(DELTA)
-    )
+    lx = norm.logpdf(u1[0] - u0[0], loc=mu_x * DELTA, scale=math.sqrt(v * DELTA))
+    ly = norm.logpdf(u1[1] - u0[1], loc=mu_y * DELTA, scale=math.sqrt(DELTA))
     assert ld == pytest.approx(lx + ly, rel=1e-12)
 
 
@@ -298,6 +297,65 @@ def test_sml_spread_shrinks_with_sample_size():
     assert 2.0 < ratio < 5.0
 
 
+def _gauss(z, mean, var):
+    return math.exp(-0.5 * (z - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+
+def _m2_density(u0, u1, params, spec, delta):
+    """Euler transition density of one interval at M = 2, in (x, y), by
+    quadrature over the midpoint Y.
+
+    Given the midpoint Y_m, the two Y steps are N(mu_Y*delta, delta) and
+    the two X steps Gaussian, with the leverage term rho*s*e_y of each
+    step's Y innovation e_y in their means, so the price integral over the
+    midpoint X is closed form:
+
+        p_2 = int N(y_m; y0 + mu_Y(y0) delta, delta)
+                  N(y1; y_m + mu_Y(y_m) delta, delta)
+                  N(x1; x0 + sum (a0 + a1 V) delta + rho sum s e_y,
+                        (1 - rho^2)(V0 + V_m) delta) dy_m.
+    """
+    (x0, y0), (x1, y1) = u0, u1
+    rho, sigma = params.rho, params.sigma
+    mx0, my0 = (float(d) for d in _drifts(y0, params, spec))
+
+    def integrand(ym):
+        mxm, mym = (float(d) for d in _drifts(ym, params, spec))
+        e0, e1 = ym - y0 - my0 * delta, y1 - ym - mym * delta
+        s0, sm = math.exp(0.5 * sigma * y0), math.exp(0.5 * sigma * ym)
+        mean = x0 + (mx0 + mxm) * delta + rho * (s0 * e0 + sm * e1)
+        var = (1.0 - rho**2) * (s0 * s0 + sm * sm) * delta
+        return (
+            _gauss(ym, y0 + my0 * delta, delta) * _gauss(y1, ym + mym * delta, delta)
+            * _gauss(x1, mean, var)
+        )
+
+    centre, width = 0.5 * (y0 + y1), 20.0 * math.sqrt(delta)
+    lo, hi = centre - width, centre + width
+    return integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)], ids=["LN", "NL"])
+def test_sml_density_matches_quadrature_oracle_at_m2(spec, params, rho):
+    # At M = 2 the transition density is a 1-D integral over the midpoint
+    # Y: the density-scale mean of the importance weights at S = 200,000
+    # must lie within 4 standard errors of it, on three intervals of a
+    # simulated NL path, in each model's (x, log V/sigma).
+    p = dataclasses.replace(params, rho=rho)
+    series = make_series(NL_PARAMS, NL, 61, 4242)
+    y = gamma_transform(iv_to_v(series.iv, NL_PARAMS), p.sigma)
+    u = np.stack([series.x, y], axis=-1)
+    intervals = np.array([3, 17, 41])
+    cfg = _cfg(aug_steps=2, mc_draws=200_000)
+    delta = cfg.delta_obs / 2
+    eps = eml.draw_bridge_eps(RngStream(10, 2), intervals, cfg.mc_draws, 2, delta)
+    w = np.exp(_sml_batch(u[intervals], u[intervals + 1], p, spec, cfg, eps))
+    mean, se = w.mean(axis=-1), w.std(axis=-1, ddof=1) / math.sqrt(cfg.mc_draws)
+    oracle = np.array([_m2_density(u[i], u[i + 1], p, spec, delta) for i in intervals])
+    assert np.all(np.abs(mean - oracle) < 4.0 * se)
+
+
 @pytest.mark.parametrize("aug", [2, 24])
 @pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)])
 def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
@@ -405,11 +463,10 @@ def test_score_matches_analytic_euler_score():
     x = np.asarray(series.x)
     v = iv_to_v(series.iv, LN_PARAMS, cfg.swap_tenor)
     y = gamma_transform(v, LN_PARAMS.sigma)
-    from nlsv.model import price_drift, y_drift
-
     v0, y0 = v[:-1], y[:-1]
-    rx = np.diff(x) - price_drift(v0, LN_PARAMS, Measure.P) * DELTA
-    ry = np.diff(y) - y_drift(y0, LN_PARAMS, LN, Measure.P) * DELTA
+    mu_x, mu_y = _drifts(y0, LN_PARAMS, LN)
+    rx = np.diff(x) - mu_x * DELTA
+    ry = np.diff(y) - mu_y * DELTA
     rho = LN_PARAMS.rho
     # d logpdf / d mean_x * d mean_x / d a0, with the bivariate inverse
     score = np.sum(

@@ -30,29 +30,32 @@ class _ZeroStream:
 def test_euler_step_pure_ito_correction():
     # All drift coefficients zero: the y update is only -sigma/2 * dt.
     p = ParamVector(sigma=1.7, rho=0.0, b0_q=0.0, b1_q=0.0, a0=0.0, a1=0.0, b1=0.0, r=0.0)
-    x, y = euler_step(0.0, 0.3, p, LN, Measure.P, 0.01, np.zeros(2))
+    x, y = euler_step(0.0, 0.3, p, LN, 0.01, np.zeros(2))
     assert y == pytest.approx(0.3 - 0.5 * 1.7 * 0.01, rel=1e-14)
 
 
 def test_euler_step_zero_dt_identity():
-    x, y = euler_step(1.23, -0.4, LN_PARAMS, LN, Measure.P, 0.0, np.zeros(2))
+    x, y = euler_step(1.23, -0.4, LN_PARAMS, LN, 0.0, np.zeros(2))
     assert x == 1.23 and y == -0.4
 
 
 def test_euler_step_q_measure_price_drift():
+    # The step is always under the real-world measure: with zero shocks x
+    # moves by the price drift a0 + a1*V at the departing variance.
     v0 = 0.05
     y0 = gamma_transform(v0, NL_PARAMS.sigma)
-    x, _ = euler_step(0.0, y0, NL_PARAMS, NL, Measure.Q, 0.01, np.zeros(2))
-    assert x == pytest.approx((NL_PARAMS.r - v0 / 2) * 0.01, rel=1e-10)
+    x, _ = euler_step(0.0, y0, NL_PARAMS, NL, 0.01, np.zeros(2))
+    assert x == pytest.approx((NL_PARAMS.a0 + NL_PARAMS.a1 * v0) * 0.01, rel=1e-10)
 
 
 def test_q_long_run_mean_matches_ode_steady_state():
     # Stable pricing-measure drift (negative slope, anchor magnitudes):
-    # the ODE steady state is -b0_q/b1_q.
-    p = dataclasses.replace(NL_PARAMS, b1_q=-11.326)
+    # the ODE steady state is -b0_q/b1_q.  V has that law under P in the
+    # LN family with b1 = b1_q.
+    p = dataclasses.replace(NL_PARAMS, b1_q=-11.326, b1=-11.326)
     target = -p.b0_q / p.b1_q
     ens = simulate_paths(
-        State(0.0, target), p, NL, Measure.Q, dt=1 / 262, n_steps=50 * 262,
+        State(0.0, target), p, LN, Measure.P, dt=1 / 262, n_steps=50 * 262,
         n_paths=64, rng=RngStream(11), record_every=262,
     )
     time_means = ens.v[:, 1:].mean(axis=1)  # per-path 50y time average
@@ -62,13 +65,14 @@ def test_q_long_run_mean_matches_ode_steady_state():
 
 def test_simulate_paths_terminal_v_matches_ode():
     # Pricing-measure LN anchor values over one month: E[V] solves the
-    # linear ODE; positive slope is fine at short horizon.
+    # linear ODE; positive slope is fine at short horizon.  V has the
+    # pricing-measure law under P in the LN family with b1 = b1_q.
     tau_days = 22
     v0 = 0.03
-    p = LN_PARAMS
+    p = dataclasses.replace(LN_PARAMS, b1=LN_PARAMS.b1_q)
     closed = -p.b0_q / p.b1_q + (v0 + p.b0_q / p.b1_q) * np.exp(p.b1_q * tau_days / 262)
     ens = simulate_paths(
-        State(0.0, v0), p, LN, Measure.Q, dt=1 / (262 * 8), n_steps=tau_days * 8,
+        State(0.0, v0), p, LN, Measure.P, dt=1 / (262 * 8), n_steps=tau_days * 8,
         n_paths=20000, rng=RngStream(21),
     )
     terminal = ens.v[:, -1]
@@ -110,7 +114,7 @@ def test_euler_weak_convergence_under_refinement():
     # Couple refinements through shared Brownian increments: finest-grid
     # draws aggregate to the coarser grids, so successive differences in
     # the 26-week expected variance shrink monotonically.
-    p = dataclasses.replace(LN_PARAMS, b1_q=-10.9858)
+    p = dataclasses.replace(LN_PARAMS, b1_q=-10.9858, b1=-10.9858)
     horizon = 131 / 262
     n_paths = 4000
     base_steps = 131  # half-daily baseline times refinement factor
@@ -125,7 +129,7 @@ def test_euler_weak_convergence_under_refinement():
         x = np.zeros(n_paths)
         y = np.full(n_paths, gamma_transform(0.04, p.sigma))
         for k in range(steps):
-            x, y = euler_step(x, y, p, LN, Measure.Q, dt, eps[:, k, :])
+            x, y = euler_step(x, y, p, LN, dt, eps[:, k, :])
         estimates.append(np.exp(p.sigma * y).mean())
     gaps = np.abs(np.diff(estimates))
     assert gaps[0] > gaps[1] > gaps[2]
