@@ -27,12 +27,10 @@ from .forecasting import (
     rolling_evaluation,
 )
 from .likelihood import FitResult, LikelihoodConfig, fit
-from .model import DAYS_PER_YEAR, drift_p, iv_to_v, v_to_iv
+from .model import DAYS_PER_YEAR, HOURS_PER_DAY, drift_p, iv_to_v, v_to_iv
 from .params import DomainViolation, Family, Measure, ModelSpec, ParamVector, State
 from .rng import RngStream
 from .simulate import simulate_paths
-
-_HOURS_PER_DAY = 8  # trading hours per day for the simulation grid
 
 
 @dataclass
@@ -48,7 +46,6 @@ class RunConfig:
     # estimation budgets
     M: int = 24
     S: int = 576
-    n_bridges: int = 0  # 0 means reuse S
     seed: int = 0
     max_iter: int = 400
     restarts: int = 3
@@ -107,7 +104,6 @@ class RunConfig:
         return LikelihoodConfig(
             aug_steps=self.M,
             mc_draws=self.S,
-            n_bridges=self.n_bridges or None,
             seed=self.seed,
             max_iter=self.max_iter,
             restarts=self.restarts,
@@ -115,7 +111,7 @@ class RunConfig:
         )
 
     def eval_config(self) -> EvalConfig:
-        dt = self.dt_hours / (DAYS_PER_YEAR * _HOURS_PER_DAY)
+        dt = self.dt_hours / (DAYS_PER_YEAR * HOURS_PER_DAY)
         return EvalConfig(
             horizons=self.horizon_grid(),
             n_paths=self.paths,
@@ -125,18 +121,8 @@ class RunConfig:
         )
 
     def param_vector(self) -> ParamVector:
-        return ParamVector(
-            sigma=self.sigma,
-            rho=self.rho,
-            b0_q=self.b0_q,
-            b1_q=self.b1_q,
-            a0=self.a0,
-            a1=self.a1,
-            b0=self.b0,
-            b1=self.b1,
-            b2=self.b2,
-            b3=self.b3,
-        ).validate()
+        names = ModelSpec(Family.NL).param_names
+        return ParamVector(**{name: getattr(self, name) for name in names}).validate()
 
     def families(self) -> list[Family]:
         if self.model == "both":
@@ -187,6 +173,15 @@ def _load_series(config: RunConfig) -> ObservedSeries:
     return load_csv(config.input, vxo_unit=config.vxo_unit, price_is_log=config.price_is_log)
 
 
+def _load_artifact(path: str, kind):
+    """The ``kind`` saved at ``path``; a file that holds none is a DataError."""
+    payload = data_io.load_results(path)
+    try:
+        return kind.from_dict(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"artifact {path} is not a {kind.__name__}: {exc!r}") from None
+
+
 def _trading_dates(start: str, n: int) -> np.ndarray:
     try:
         start_day = np.datetime64(start, "D")
@@ -211,18 +206,17 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[str]:
     params = config.param_vector()
     spec = ModelSpec(family)
     n = config.n_obs
-    steps_per_day = _HOURS_PER_DAY
-    dt = 1.0 / (DAYS_PER_YEAR * steps_per_day)
+    dt = 1.0 / (DAYS_PER_YEAR * HOURS_PER_DAY)
     ens = simulate_paths(
         State(config.x0, config.v0),
         params,
         spec,
         Measure.P,
         dt,
-        max(n - 1, 0) * steps_per_day,
+        max(n - 1, 0) * HOURS_PER_DAY,
         1,
         RngStream(config.seed),
-        record_every=steps_per_day,
+        record_every=HOURS_PER_DAY,
     )
     x = ens.x[0][:n]
     v = ens.v[0][:n]
@@ -294,7 +288,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list
     eval_config = config.eval_config()
     models: forecasting.Models = {"RW": (None, ModelSpec(Family.RW))}
     for path in fit_paths:
-        res = FitResult.from_dict(data_io.load_results(path))
+        res = _load_artifact(path, FitResult)
         models[res.spec.family.value] = (res.params, res.spec)
     report = forecasting.evaluate_origins(
         series, sp.split_index, models, lambda origin: models, eval_config
@@ -328,7 +322,7 @@ def cmd_report(
 ) -> list[str]:
     """Render plot-ready CSVs from saved artifacts; no recomputation."""
     outputs = []
-    fits = [FitResult.from_dict(data_io.load_results(p)) for p in fit_paths]
+    fits = [_load_artifact(p, FitResult) for p in fit_paths]
     if fits:
         grid = np.linspace(0.005, 0.25, 200)
         lines = ["v," + ",".join(
@@ -363,7 +357,7 @@ def cmd_report(
         (out_dir / "premium_series.csv").write_text("\n".join(lines) + "\n")
         outputs.append("premium_series.csv")
     if report_path:
-        report = ForecastReport.from_dict(data_io.load_results(report_path))
+        report = _load_artifact(report_path, ForecastReport)
         outputs += _write_files(report.metrics_tables(report.summary()), out_dir)
     if param_paths_path:
         payload = data_io.load_results(param_paths_path)

@@ -47,6 +47,7 @@ from .data_io import ObservedSeries, split
 from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
+    HOURS_PER_DAY,
     SWAP_TENOR_YEARS,
     drift_p,
     exp_averages,
@@ -105,7 +106,7 @@ class EvalConfig:
 
     horizons: HorizonGrid = HorizonGrid()
     n_paths: int = 20000
-    dt: float = 1.0 / (262 * 8)  # hourly steps, 8 trading hours per day
+    dt: float = 1.0 / (DAYS_PER_YEAR * HOURS_PER_DAY)  # hourly steps
     refit_every: int = 1
     window_width: int = 0  # observations per refit window; 0 = expanding
 
@@ -146,14 +147,14 @@ def forecast_targets(
     models: Models,
     horizons: HorizonGrid,
     dt: float,
-    swap_tenor: float,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Per-model conditional expectations of (X, IV, RV) at each horizon.
 
     The targets need only E[V_h], int_0^h E[V] and the daily sum
-    E[V_1] + ... + E[V_h]: IV is A + B*E[V], RV is the daily sum over h and
-    E[X_h] is x + a0*h + a1*int_0^h E[V].  LN has them in closed form; NL
-    reads them from the law of the Euler chain of Y on steps of ``dt``
+    E[V_1] + ... + E[V_h]: IV is A + B*E[V] at the swap tenor
+    ``SWAP_TENOR_YEARS``, RV is the daily sum over h and E[X_h] is
+    x + a0*h + a1*int_0^h E[V].  LN has them in closed form; NL reads them
+    from the law of the Euler chain of Y on steps of ``dt``
     (:func:`_euler_chain`), whose X integral is dt times the sum of E[V]
     over the steps before h.  RW returns current values at every horizon.
     """
@@ -166,12 +167,12 @@ def forecast_targets(
                 t: {h: current[t] for h in (0,) + horizons.for_target(t)} for t in TARGETS
             }
             continue
-        v0 = float(iv_to_v(iv_now, params, swap_tenor))
+        v0 = float(iv_to_v(iv_now, params))
         if spec.family is Family.LN:
             mean_v, int_v, sum_v = _ln_variance_moments(v0, params, horizons)
         else:
             mean_v, int_v, sum_v = _euler_chain(params, spec, dt, horizons).moments(v0)
-        a_c, b_c = swap_coefficients(params, swap_tenor)
+        a_c, b_c = swap_coefficients(params, SWAP_TENOR_YEARS)
         out[name] = {
             "x": {0: x_now} | {
                 h: float(x_now + params.a0 * (h / DAYS_PER_YEAR) + params.a1 * i)
@@ -607,19 +608,14 @@ def forecast_origin(
     its realized and current values are computed once for every model.
     :class:`ForecastReport` keys the records and builds the tables.
 
-    ``rng`` is unread (callers in the package pass None): forecasts draw
-    nothing.  It stays only because the benchmark passes it by position,
-    until the next benchmark change deletes it.
+    ``rng`` and ``swap_tenor`` are unread: forecasts draw nothing and map
+    IV at ``SWAP_TENOR_YEARS``.  They stay only because the benchmark
+    passes them by position, until the next benchmark change deletes them.
     """
     horizons = eval_config.horizons
     try:
         forecasts = forecast_targets(
-            float(series.x[origin]),
-            float(series.iv[origin]),
-            models,
-            horizons,
-            eval_config.dt,
-            swap_tenor,
+            float(series.x[origin]), float(series.iv[origin]), models, horizons, eval_config.dt
         )
     except DomainViolation:
         # An explosive LN drift overflows its closed-form moments; the

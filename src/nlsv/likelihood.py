@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import eml
 from .model import (
+    DAYS_PER_YEAR,
     SWAP_TENOR_YEARS,
     gamma_transform,
     iv_to_v,
@@ -54,42 +55,44 @@ class LikelihoodConfig:
     """Budgets and settings of the simulated-likelihood machinery.
 
     ``aug_steps`` is the number of Euler sub-steps per observation
-    interval (config key ``M``) and ``mc_draws`` the importance-sample
-    size (config key ``S``); the default pairing keeps S = M^2 = 576.
-    Memory is bounded by the budgets alone: the drift solves and the
-    likelihood evaluate ``eml.chunk_intervals`` intervals at a time, at
-    most ``eml.CHUNK_POINTS`` lattice points.  From ``eml.POOL_POINTS``
-    points per worker, ``eml.WORKERS`` threads (one per CPU this process
-    may use) share those points, with bitwise the same results.
-    ``rate`` and ``dampening_c`` are read only by the benchmark, which
-    builds its parameter vectors from them, until the next benchmark
-    change deletes them.
+    interval (config key ``M``) and ``mc_draws`` the number of
+    modified-bridge walks per interval (config key ``S``) that the drift
+    solves and the likelihood average over; the default pairing keeps
+    S = M^2 = 576.  ``seed``, ``max_iter``, ``restarts`` and ``min_obs``
+    are the config keys of the same names.  Memory is bounded by the
+    budgets alone: the drift solves and the likelihood evaluate
+    ``eml.chunk_intervals`` intervals at a time, at most
+    ``eml.CHUNK_POINTS`` lattice points.  From ``eml.POOL_POINTS`` points
+    per worker, ``eml.WORKERS`` threads (one per CPU this process may use)
+    share those points, with bitwise the same results.
+
+    The class constants are not settings: ``delta_obs`` is a trading day
+    and ``swap_tenor`` the implied-variance tenor, in years.  Only the
+    benchmark reads ``rate`` and ``dampening_c``, until its next change.
     """
+
+    delta_obs: ClassVar[float] = 1.0 / DAYS_PER_YEAR
+    swap_tenor: ClassVar[float] = SWAP_TENOR_YEARS
+    rate: ClassVar[float] = 0.05
+    dampening_c: ClassVar[float] = 1e-6
 
     aug_steps: int = 24
     mc_draws: int = 576
-    n_bridges: int | None = None  # bridge expectation draws; defaults to mc_draws
     seed: int = 0
-    delta_obs: float = 1.0 / 262.0
-    swap_tenor: float = SWAP_TENOR_YEARS
-    rate: float = 0.05
-    dampening_c: float = 1e-6
     max_iter: int = 400
     restarts: int = 3
     min_obs: int = 200
 
     def __post_init__(self):
-        for name in ("aug_steps", "mc_draws", "max_iter"):
+        for name in ("aug_steps", "mc_draws", "max_iter", "restarts"):
             if getattr(self, name) < 1:
                 raise DomainViolation(f"{name} must be >= 1")
-        if self.n_bridges is not None and self.n_bridges < 1:
-            raise DomainViolation("n_bridges must be >= 1")
-        if self.delta_obs <= 0 or self.swap_tenor <= 0:
-            raise DomainViolation("delta_obs and swap_tenor must be > 0")
 
     @property
     def bridge_draws(self) -> int:
-        return self.mc_draws if self.n_bridges is None else self.n_bridges
+        """``mc_draws``, read only by the benchmark's ``workloads.evaluate``,
+        until its next change."""
+        return self.mc_draws
 
 
 @dataclass
@@ -389,12 +392,12 @@ def _profile_params(
         x, y = series_to_lattice_coords(series, trial, config.swap_tenor)
         vp = eml.solve_variance_drift(
             x, y, trial, spec, config.delta_obs, config.aug_steps,
-            config.bridge_draws, rng_eml, eps=eml_eps,
+            config.mc_draws, rng_eml, eps=eml_eps,
         )
         trial = trial.with_variance_coeffs(spec, vp.values())
         a0, a1 = eml.solve_stock_drift(
             x, y, trial, spec, config.delta_obs, config.aug_steps,
-            config.bridge_draws, rng_eml, eps=eml_eps,
+            config.mc_draws, rng_eml, eps=eml_eps,
         )
         return trial.with_stock_coeffs(a0, a1)
     except (DomainViolation, eml.IllConditionedSystem, FloatingPointError):
@@ -423,7 +426,7 @@ def _maybe_cache_eps(series, config: LikelihoodConfig, rng_eml: RngStream, rng_s
     """Pre-draw the parameter-independent innovations when they fit in memory."""
     n = len(series.iv) - 1
     return (
-        _cached_eps(rng_eml, np.arange(1, n), config.bridge_draws, config),
+        _cached_eps(rng_eml, np.arange(1, n), config.mc_draws, config),
         _cached_eps(rng_sml, np.arange(n), config.mc_draws, config),
     )
 
@@ -475,7 +478,7 @@ def fit(
     best = None
     n_iterations = 0
     converged = False
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         eta_start = eta0 if restart == 0 else eta0 + 0.1 * jitter_gen.standard_normal(len(OUTER))
         result = minimize(
             objective,

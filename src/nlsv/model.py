@@ -20,9 +20,11 @@ import numpy as np
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 
 #: Trading-day calendar constants used throughout: 262 days per year, a
-#: 22-day month for the implied-variance tenor.
+#: 22-day month for the implied-variance tenor and 8 trading hours per
+#: day, the simulation and forecast step.
 DAYS_PER_YEAR = 262
 DAYS_PER_MONTH = 22
+HOURS_PER_DAY = 8
 SWAP_TENOR_YEARS = DAYS_PER_MONTH / DAYS_PER_YEAR
 
 #: |z| below which :func:`exp_averages` switches to Taylor series: the

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import nlsv
-from nlsv.cli import main
+from nlsv.cli import RunConfig, main
+from nlsv.forecasting import EvalConfig
+from nlsv.likelihood import LikelihoodConfig
 
 from conftest import NL_PARAMS
 
@@ -36,7 +38,6 @@ model = both
 vxo_unit = percent
 M = 2
 S = 4
-n_bridges = 8
 max_iter = 40
 restarts = 1
 min_obs = 50
@@ -166,17 +167,6 @@ def test_malformed_csv_nonzero_exit(tmp_path, capsys):
     assert "row 3" in err
 
 
-def test_negative_n_bridges_nonzero_exit(sim_dir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    text = RUN_CFG.format(split=_split_date(sim_dir))
-    cfg.write_text(text.replace("n_bridges = 8", "n_bridges = -2"))
-    code = main(
-        ["estimate", "--config", str(cfg), "--input", _series_csv(sim_dir), "--out", str(tmp_path / "o")]
-    )
-    assert code == 1
-    assert "n_bridges" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("text", ["M = 2.5\n", '{"M": 2.5}'])
 def test_non_integer_config_value_nonzero_exit(sim_dir, tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
@@ -198,17 +188,20 @@ def test_non_integer_config_value_nonzero_exit(sim_dir, tmp_path, capsys, text):
         ("rolling", "split_date = 1999-13-45\n", {}, "split_date"),
         ("rolling", "rate = 0.11\n", {}, "rate"),
         ("simulate", "dampening_c = 1e-6\n", {}, "dampening_c"),
+        ("rolling", "n_bridges = 8\n", {}, "n_bridges"),
+        ("rolling", "restarts = 0\n", {}, "restarts"),
     ],
     ids=[
-        "NLSV_SEED", "start_date", "horizons", "horizons_zero", "split_date", "rate", "dampening_c"
+        "NLSV_SEED", "start_date", "horizons", "horizons_zero", "split_date", "rate", "dampening_c",
+        "n_bridges", "restarts",
     ],
 )
 def test_unparseable_setting_nonzero_exit(
     sim_dir, tmp_path, capsys, monkeypatch, command, extra, env, key
 ):
-    # A setting that does not parse, or a key the program does not know,
-    # is an error naming its key, not a traceback, and rolling reports it
-    # before any fit runs.
+    # A setting that does not parse or is out of range, or a key the
+    # program does not know, is an error naming its key, not a traceback
+    # or a silent repair, and rolling reports it before any fit runs.
     fits = []
     monkeypatch.setattr(nlsv.forecasting, "fit", lambda *args, **kw: fits.append(args))
     for name, value in env.items():
@@ -303,6 +296,42 @@ def test_forecast_and_report(estimate_dir, sim_dir, tmp_path):
     )
     for name in ("drift_grid.csv", "premium_series.csv", "metrics_iv.csv"):
         assert (rep2 / name).read_bytes() == (rep / name).read_bytes()
+
+
+def _damage_family(payload):
+    payload["family"] = "XX"
+
+
+def _damage_params(payload):
+    payload["params"]["foo"] = 1.0
+
+
+def _drop_params(payload):
+    del payload["params"]
+
+
+@pytest.mark.parametrize(
+    "damage", [_damage_family, _damage_params, _drop_params], ids=["family", "foo", "no-params"]
+)
+@pytest.mark.parametrize(
+    "command, option", [("forecast", "--fit"), ("report", "--fit"), ("report", "--report")]
+)
+def test_malformed_artifact_nonzero_exit(
+    estimate_dir, sim_dir, tmp_path, capsys, command, option, damage
+):
+    # A file that is valid artifact JSON but not the fit or forecast report
+    # the option reads is an error naming the file, not a traceback.
+    tmp, cfg, est = estimate_dir
+    payload = json.loads((est / "fit_NL.json").read_text())
+    damage(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = [
+        command, "--config", str(cfg), "--input", _series_csv(sim_dir),
+        option, str(bad), "--out", str(tmp_path / "o"),
+    ]
+    assert main(argv) == 1
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_forecast_empty_out_sample(estimate_dir, sim_dir, tmp_path):
@@ -482,6 +511,13 @@ def test_rolling_command(sim_dir, tmp_path):
     paths = json.loads((roll / "parameter_paths.json").read_text())
     assert len(paths["entries"]) >= 2
     assert all("params" in e or "error" in e for e in paths["entries"])
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # Every default is written both in RunConfig and in the settings
+    # classes it builds: a run without a config file uses the library's.
+    assert RunConfig().likelihood_config() == LikelihoodConfig()
+    assert RunConfig().eval_config() == EvalConfig()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -65,9 +65,7 @@ def test_realized_variance_needs_history():
 
 def test_rw_forecasts_are_current_values():
     grid = HorizonGrid()
-    out = forecast_targets(
-        4.2, 0.053, {"RW": (None, RW)}, grid, dt=1 / (262 * 8), swap_tenor=SWAP_TENOR_YEARS
-    )
+    out = forecast_targets(4.2, 0.053, {"RW": (None, RW)}, grid, dt=1 / (262 * 8))
     for h in grid.returns_iv:
         assert out["RW"]["x"][h] == 4.2
         assert out["RW"]["iv"][h] == 0.053
@@ -78,7 +76,7 @@ def test_rw_forecasts_are_current_values():
 def test_zero_horizon_returns_current_state():
     out = forecast_targets(
         1.0, 0.04, {"LN": (LN_PARAMS, LN), "RW": (None, RW)},
-        HorizonGrid(returns_iv=(1,), rv=(5,)), dt=1 / 262, swap_tenor=SWAP_TENOR_YEARS,
+        HorizonGrid(returns_iv=(1,), rv=(5,)), dt=1 / 262,
     )
     for model in ("LN", "RW"):
         assert out[model]["x"][0] == 1.0
@@ -102,7 +100,7 @@ def test_common_random_numbers_across_models():
     # Two entries with identical dynamics share one chain and forecast alike.
     out = forecast_targets(
         0.0, 0.045, {"LN": (NL_PARAMS, NL), "NL": (NL_PARAMS, NL)},
-        HorizonGrid(returns_iv=(5, 22), rv=(5, 22)), dt=1 / 262, swap_tenor=SWAP_TENOR_YEARS,
+        HorizonGrid(returns_iv=(5, 22), rv=(5, 22)), dt=1 / 262,
     )
     assert out["LN"] == out["NL"]
 
@@ -117,7 +115,7 @@ def test_ln_iv_forecast_matches_linear_ode():
     closed_iv = a_c + b_c * closed_v
     iv0 = float(v_to_iv(v0, p))
     grid = HorizonGrid(returns_iv=(tau_days,), rv=(tau_days,))
-    out = forecast_targets(0.0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 4), SWAP_TENOR_YEARS)
+    out = forecast_targets(0.0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 4))
     assert out["LN"]["iv"][tau_days] == pytest.approx(closed_iv, rel=1e-12)
 
 
@@ -129,7 +127,7 @@ def test_rv_forecast_matches_integrated_ode():
     closed = np.mean(-p.b0_q / p.b1 + (v0 + p.b0_q / p.b1) * np.exp(p.b1 * days))
     iv0 = float(v_to_iv(v0, p))
     grid = HorizonGrid(returns_iv=(h,), rv=(h,))
-    out = forecast_targets(0.0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 4), SWAP_TENOR_YEARS)
+    out = forecast_targets(0.0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 4))
     assert out["LN"]["rv"][h] == pytest.approx(closed, rel=1e-12)
 
 
@@ -149,7 +147,7 @@ def test_ln_forecasts_match_integrated_moments(b1):
     a_c, b_c = swap_coefficients(p, 22 / 262)
     grid = HorizonGrid(returns_iv=(h,), rv=(h,))
     out = forecast_targets(
-        1.5, float(v_to_iv(v0, p)), {"LN": (p, LN)}, grid, 1 / 262, SWAP_TENOR_YEARS
+        1.5, float(v_to_iv(v0, p)), {"LN": (p, LN)}, grid, 1 / 262
     )["LN"]
     assert out["x"][h] == pytest.approx(1.5 + p.a0 * t + p.a1 * integral, rel=1e-12)
     assert out["iv"][h] == pytest.approx(a_c + b_c * mean_v(t), rel=1e-12)
@@ -163,7 +161,7 @@ def test_ln_closed_form_continuous_across_zero_slope(b1):
 
     def forecasts(slope):
         p = dataclasses.replace(LN_PARAMS, b1=slope)
-        return forecast_targets(5.0, iv0, {"LN": (p, LN)}, grid, 1 / 262, SWAP_TENOR_YEARS)["LN"]
+        return forecast_targets(5.0, iv0, {"LN": (p, LN)}, grid, 1 / 262)["LN"]
 
     at_zero, near_zero = forecasts(0.0), forecasts(b1)
     for target in ("x", "iv", "rv"):
@@ -174,10 +172,7 @@ def test_ln_closed_form_continuous_across_zero_slope(b1):
 def test_ln_closed_form_overflow_raises():
     p = dataclasses.replace(LN_PARAMS, b1=5000.0)
     with pytest.raises(DomainViolation):
-        forecast_targets(
-            5.0, float(v_to_iv(0.04, p)), {"LN": (p, LN)}, HorizonGrid(), 1 / 262,
-            SWAP_TENOR_YEARS,
-        )
+        forecast_targets(5.0, float(v_to_iv(0.04, p)), {"LN": (p, LN)}, HorizonGrid(), 1 / 262)
 
 
 def _exp_averages_per_day(z):
@@ -216,7 +211,7 @@ def test_ln_forecasts_are_bitwise_the_per_day_scalar_formula(b1, b1_q):
         "iv": np.concatenate(([iv0], a_c + b_c * mean_v[1:])),
         "rv": np.concatenate(([iv0], np.cumsum(mean_v[1:]) / days[1:])),
     }
-    got = forecast_targets(x0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 8), SWAP_TENOR_YEARS)
+    got = forecast_targets(x0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 8))
     for target in ("x", "iv", "rv"):
         assert got["LN"][target] == {
             h: float(daily[target][h]) for h in (0,) + grid.for_target(target)
@@ -234,7 +229,7 @@ def test_nl_reduced_to_ln_matches_closed_form():
     hour = 1 / (262 * 8)
 
     def forecasts(spec, dt):
-        return forecast_targets(5.0, iv0, {"M": (p, spec)}, grid, dt, SWAP_TENOR_YEARS)["M"]
+        return forecast_targets(5.0, iv0, {"M": (p, spec)}, grid, dt)["M"]
 
     exact, coarse, fine = forecasts(LN, hour), forecasts(NL, hour), forecasts(NL, hour / 2)
     for target in ("x", "iv", "rv"):
@@ -253,7 +248,7 @@ def test_nl_forecast_matches_joint_euler_simulation():
     grid = HorizonGrid(returns_iv=(1, 5, 22), rv=(5, 22))
     x0, iv0, n_sim, steps = 5.7, 0.045, 20000, 8
     dt = 1 / (262 * steps)
-    got = forecast_targets(x0, iv0, {"NL": (NL_PARAMS, NL)}, grid, dt, SWAP_TENOR_YEARS)["NL"]
+    got = forecast_targets(x0, iv0, {"NL": (NL_PARAMS, NL)}, grid, dt)["NL"]
     v0 = float(iv_to_v(iv0, NL_PARAMS))
     ens = simulate_paths(
         State(x0, v0), NL_PARAMS, NL, Measure.P, dt, 22 * steps, n_sim, RngStream(401),
@@ -276,7 +271,7 @@ def test_nl_x_and_rv_forecasts_sum_the_chain_means_step_by_step():
     p, x0, iv0, dt = NL_PARAMS, 5.7, 0.045, 1 / 262
     hs = tuple(range(1, 23))
     grid = HorizonGrid(returns_iv=hs, rv=hs[1:])
-    out = forecast_targets(x0, iv0, {"NL": (p, NL)}, grid, dt, SWAP_TENOR_YEARS)["NL"]
+    out = forecast_targets(x0, iv0, {"NL": (p, NL)}, grid, dt)["NL"]
     a_c, b_c = swap_coefficients(p, SWAP_TENOR_YEARS)
     mean_v = np.array([float(iv_to_v(iv0, p))] + [(out["iv"][h] - a_c) / b_c for h in hs])
     for h in hs:
@@ -295,8 +290,7 @@ def test_nl_forecast_decays_to_the_bottom_bin_when_the_drift_absorbs_at_zero():
     grid = HorizonGrid(returns_iv=(1, 5, 22, 66, 131), rv=(5, 22))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = forecast_targets(0.0, 0.045, {"NL": (p, NL)}, grid, 1 / (262 * 8),
-                               SWAP_TENOR_YEARS)["NL"]
+        out = forecast_targets(0.0, 0.045, {"NL": (p, NL)}, grid, 1 / (262 * 8))["NL"]
     a_c, b_c = swap_coefficients(p, SWAP_TENOR_YEARS)
     mean_v = np.array([(out["iv"][h] - a_c) / b_c for h in grid.returns_iv])
     assert all(np.isfinite(out[t][h]) for t in out for h in out[t])
@@ -373,7 +367,7 @@ def test_every_row_of_the_chain_kernel_sums_to_one(sigma, b2, b3):
 
 def _nl_forecast(params, horizons=HorizonGrid()):
     return forecast_targets(
-        5.7, 0.045, {"NL": (params, NL)}, horizons, 1 / (262 * 8), SWAP_TENOR_YEARS
+        5.7, 0.045, {"NL": (params, NL)}, horizons, 1 / (262 * 8)
     )["NL"]
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 from scipy.special import logsumexp
 
@@ -356,6 +357,69 @@ def test_sml_density_matches_quadrature_oracle_at_m2(spec, params, rho):
     assert np.all(np.abs(mean - oracle) < 4.0 * se)
 
 
+def _m4_density(u0, u1, params, spec, delta, nodes=30):
+    """Euler transition density of one interval at M = 4, in (x, y), by a
+    tensor Gauss-Hermite rule over the three interior Y points.
+
+    The rule's nodes z map to Y = m + L z, where m and L L' are the mean
+    and covariance of the Brownian bridge from y0 to y1 with step variance
+    delta, so the integrand over that Gaussian is smooth.  Given the Y
+    path, the price increment is Gaussian, with the leverage term
+    rho*s_m*r_m of each Y step's residual r_m about its Euler mean:
+
+        p_4 = int prod_m N(y_{m+1}; y_m + mu_Y(y_m) delta, delta)
+                  N(x1; x0 + sum_m [(a0 + a1 V_m) delta + rho s_m r_m],
+                        (1 - rho^2) delta sum_m V_m) dy_1 dy_2 dy_3.
+    """
+    (x0, y0), (x1, y1) = u0, u1
+    rho, sigma = params.rho, params.sigma
+    k = np.arange(1, 4)
+    chol = np.linalg.cholesky(delta * (np.minimum.outer(k, k) - np.outer(k, k) / 4.0))
+    z, w = hermegauss(nodes)
+    z = np.stack(np.meshgrid(z, z, z, indexing="ij"), axis=-1).reshape(-1, 3)
+    log_w = np.log(w)
+    log_w = (log_w[:, None, None] + log_w[None, :, None] + log_w[None, None, :]).ravel()
+    interior = y0 + k / 4.0 * (y1 - y0) + z @ chol.T
+    y = np.concatenate([np.full((len(z), 1), y0), interior, np.full((len(z), 1), y1)], axis=1)
+    mu_x, mu_y = _drifts(y[:, :4], params, spec)
+    r = np.diff(y, axis=1) - mu_y * delta
+    s = np.exp(0.5 * sigma * y[:, :4])
+    mean_x = x0 + (mu_x * delta + rho * s * r).sum(axis=1)
+    var_x = (1.0 - rho**2) * delta * (s * s).sum(axis=1)
+    log_g = (
+        -0.5 * (r * r).sum(axis=1) / delta - 2.0 * math.log(2.0 * math.pi * delta)
+        - 0.5 * (x1 - mean_x) ** 2 / var_x - 0.5 * np.log(2.0 * math.pi * var_x)
+    )
+    log_jac = np.log(np.diag(chol)).sum() + 0.5 * (z * z).sum(axis=1)
+    return float(np.exp(log_w + log_jac + log_g).sum())
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+@pytest.mark.parametrize(
+    "spec, params",
+    [(LN, LN_PARAMS), (NL, NL_PARAMS), (NL, dataclasses.replace(NL_PARAMS, b2=180.0))],
+    ids=["LN", "NL", "NL-explosive"],
+)
+def test_sml_density_matches_gauss_hermite_oracle_at_m4(spec, params, rho):
+    # At M = 4 the transition density is a 3-D integral over the interior
+    # Y points: the density-scale mean of the importance weights at
+    # S = 200,000 must lie within 4 standard errors of it, on three
+    # intervals of a simulated NL path, also for an explosive NL drift
+    # (b2 > 0).
+    p = dataclasses.replace(params, rho=rho)
+    series = make_series(NL_PARAMS, NL, 61, 4242)
+    y = gamma_transform(iv_to_v(series.iv, NL_PARAMS), p.sigma)
+    u = np.stack([series.x, y], axis=-1)
+    intervals = np.array([3, 17, 41])
+    cfg = _cfg(aug_steps=4, mc_draws=200_000)
+    delta = cfg.delta_obs / 4
+    eps = eml.draw_bridge_eps(RngStream(10, 2), intervals, cfg.mc_draws, 4, delta)
+    w = np.exp(_sml_batch(u[intervals], u[intervals + 1], p, spec, cfg, eps))
+    mean, se = w.mean(axis=-1), w.std(axis=-1, ddof=1) / math.sqrt(cfg.mc_draws)
+    oracle = np.array([_m4_density(u[i], u[i + 1], p, spec, delta) for i in intervals])
+    assert np.all(np.abs(mean - oracle) < 4.0 * se)
+
+
 @pytest.mark.parametrize("aug", [2, 24])
 @pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)])
 def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
@@ -559,12 +623,12 @@ def test_paper_chunk_peak_memory_is_bounded(stage, chunks, monkeypatch):
         solver = eml.solve_variance_drift if stage == "variance" else eml.solve_stock_drift
         x, y = series_to_lattice_coords(series, NL_PARAMS, cfg.swap_tenor)
         eps = eml.draw_bridge_eps(
-            RngStream(0, 1), np.arange(1, chunk + 1), cfg.bridge_draws, cfg.aug_steps, delta
+            RngStream(0, 1), np.arange(1, chunk + 1), cfg.mc_draws, cfg.aug_steps, delta
         )
 
         def run():
             return solver(
-                x, y, NL_PARAMS, NL, cfg.delta_obs, cfg.aug_steps, cfg.bridge_draws,
+                x, y, NL_PARAMS, NL, cfg.delta_obs, cfg.aug_steps, cfg.mc_draws,
                 RngStream(0, 1), eps=eps,
             )
 
@@ -769,7 +833,7 @@ def test_log_mean_weight_is_scipy_logsumexp(logw, data):
 
 def test_fit_deterministic():
     series = make_series(LN_PARAMS, LN, 260, 17)
-    cfg = _cfg(aug_steps=2, mc_draws=4, n_bridges=8, max_iter=40, restarts=2, min_obs=50, seed=5)
+    cfg = _cfg(aug_steps=2, mc_draws=4, max_iter=40, restarts=2, min_obs=50, seed=5)
     r1 = fit(series, LN, cfg)
     r2 = fit(series, LN, cfg)
     assert r1.loglik == r2.loglik
@@ -797,9 +861,7 @@ def test_fit_without_cached_draws_matches_cached(monkeypatch):
 
 def test_fit_recovers_ln_parameters():
     series = make_series(LN_PARAMS, LN, 2500, 1717, v0=0.033)
-    cfg = _cfg(
-        aug_steps=2, mc_draws=4, n_bridges=16, max_iter=200, restarts=1, min_obs=100, seed=5
-    )
+    cfg = _cfg(aug_steps=2, mc_draws=4, max_iter=200, restarts=1, min_obs=100, seed=5)
     res = fit(
         series, LN, cfg,
         init={"sigma": 2.0, "rho": -0.6, "b0_q": 0.05, "b1_q": 10.0},
@@ -811,6 +873,23 @@ def test_fit_recovers_ln_parameters():
     for name, true_val in truth.items():
         err = abs(getattr(res.params, name) - true_val)
         assert err <= 3 * res.std_errors[name], (name, getattr(res.params, name), true_val, res.std_errors[name])
+
+
+@pytest.mark.parametrize("name", ["aug_steps", "mc_draws", "max_iter", "restarts"])
+def test_config_rejects_budgets_below_one(name):
+    with pytest.raises(DomainViolation, match=name):
+        LikelihoodConfig(**{name: 0})
+
+
+def test_config_constants_are_not_settings():
+    # One trading day, the one-month swap tenor and one walk count: read
+    # as before, but no caller can set them.
+    cfg = LikelihoodConfig(mc_draws=7)
+    assert cfg.delta_obs == 1.0 / 262.0
+    assert cfg.swap_tenor == 22 / 262
+    assert cfg.bridge_draws == 7
+    with pytest.raises(TypeError):
+        LikelihoodConfig(delta_obs=1.0 / 252.0)
 
 
 def test_fit_rejects_short_series():
