@@ -1,8 +1,13 @@
 """Command-line driver wiring the pipeline: simulate, estimate, forecast,
 rolling evaluation and report rendering.
 
-Every run writes ``manifest.json`` into the output directory with the
-fully resolved configuration; re-running the same subcommand with
+Each subcommand yields its output files as ``(name, content)`` pairs and
+writes nothing itself.  :func:`main` writes each file into the output
+directory as soon as it is yielded (a ``str`` as text, anything else
+through :func:`~nlsv.data_io.save_results`), and after the last one
+writes ``manifest.json`` with the fully resolved configuration and the
+file names.  A command that fails keeps the files it wrote before the
+failure and writes no manifest.  Re-running the same subcommand with
 ``--config manifest.json`` reproduces the data outputs byte for byte.
 Seed resolution order: --seed flag, then NLSV_SEED, then config file.
 """
@@ -14,6 +19,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -157,16 +163,6 @@ def _coerce(key: str, value, default):
         raise DataError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
 
 
-def _write_manifest(out_dir: Path, command: str, config: RunConfig, outputs: list[str]) -> None:
-    payload = {
-        "kind": "manifest",
-        "command": command,
-        "config": asdict(config),
-        "outputs": sorted(outputs),
-    }
-    save_results(payload, out_dir / "manifest.json")
-
-
 def _load_series(config: RunConfig) -> ObservedSeries:
     if not config.input:
         raise DataError("an input CSV is required (--input or config key 'input')")
@@ -197,7 +193,11 @@ def _trading_dates(start: str, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def cmd_simulate(config: RunConfig, out_dir: Path) -> list[str]:
+#: The files of one command: ``(name, content)`` pairs, in writing order.
+Files = Iterator[tuple[str, object]]
+
+
+def cmd_simulate(config: RunConfig) -> Files:
     """Generate a synthetic observed series under the configured family."""
     families = config.families()
     if len(families) != 1:
@@ -222,26 +222,18 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[str]:
     v = ens.v[0][:n]
     iv = v_to_iv(v, params)
     series = ObservedSeries(_trading_dates(config.start_date, n), x, iv)
-    data_io.write_series_csv(series, out_dir / "series.csv", vxo_unit=config.vxo_unit)
-    return ["series.csv"]
+    yield "series.csv", data_io.series_csv(series, config.vxo_unit)
 
 
-def cmd_estimate(config: RunConfig, out_dir: Path) -> list[str]:
+def cmd_estimate(config: RunConfig) -> Files:
     """Fit the selected models and write results plus a parameter table."""
     series = _load_series(config)
     lik = config.likelihood_config()
-    outputs = []
     results: dict[str, FitResult] = {}
     for family in config.families():
-        res = fit(series, ModelSpec(family), lik)
-        results[family.value] = res
-        name = f"fit_{family.value}.json"
-        save_results(res, out_dir / name)
-        outputs.append(name)
-    table = _parameter_table(results)
-    (out_dir / "estimates.txt").write_text(table)
-    outputs.append("estimates.txt")
-    return outputs
+        results[family.value] = res = fit(series, ModelSpec(family), lik)
+        yield f"fit_{family.value}.json", res
+    yield "estimates.txt", _parameter_table(results)
 
 
 def _parameter_table(results: dict[str, FitResult]) -> str:
@@ -266,20 +258,14 @@ def _parameter_table(results: dict[str, FitResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_files(files: dict[str, str], out_dir: Path) -> list[str]:
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
-    return list(files)
-
-
-def _save_report(report: ForecastReport, out_dir: Path) -> list[str]:
+def _report_files(report: ForecastReport) -> Files:
     """``report.json`` and the metrics CSVs, from one summary of ``report``."""
     payload = report.to_dict()
-    save_results(payload, out_dir / "report.json")
-    return ["report.json"] + _write_files(report.metrics_tables(payload["summary"]), out_dir)
+    yield "report.json", payload
+    yield from report.metrics_tables(payload["summary"]).items()
 
 
-def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list[str]:
+def cmd_forecast(config: RunConfig, fit_paths: list[str]) -> Files:
     """Forecast evaluation with fixed (previously estimated) parameters."""
     series = _load_series(config)
     if not fit_paths:
@@ -293,83 +279,69 @@ def cmd_forecast(config: RunConfig, out_dir: Path, fit_paths: list[str]) -> list
     report = forecasting.evaluate_origins(
         series, sp.split_index, models, lambda origin: models, eval_config
     )
-    return _save_report(report, out_dir)
+    yield from _report_files(report)
 
 
-def cmd_rolling(config: RunConfig, out_dir: Path) -> list[str]:
+def cmd_rolling(config: RunConfig) -> Files:
     """Full protocol: in-sample fit + out-of-sample refits."""
     series = _load_series(config)
     specs = [ModelSpec(f) for f in config.families()]
     report, param_paths, fits = rolling_evaluation(
         series, config.split_date, specs, config.likelihood_config(), config.eval_config()
     )
-    outputs = []
     for name, res in fits.items():
-        fname = f"fit_{name}.json"
-        save_results(res, out_dir / fname)
-        outputs.append(fname)
-    save_results({"kind": "parameter_paths", "entries": param_paths}, out_dir / "parameter_paths.json")
-    outputs.append("parameter_paths.json")
-    return outputs + _save_report(report, out_dir)
+        yield f"fit_{name}.json", res
+    yield "parameter_paths.json", {"kind": "parameter_paths", "entries": param_paths}
+    yield from _report_files(report)
+
+
+def _parameter_path_rows(path: str) -> list[tuple]:
+    """The (date, model, parameter, value) rows of the parameter paths
+    saved at ``path``; an entry that holds only an ``error`` has none."""
+    payload = data_io.load_results(path)
+    try:
+        if payload["kind"] != "parameter_paths":
+            raise ValueError(f"kind {payload['kind']!r}")
+        return [
+            (entry["date"], entry["model"], name, value)
+            for entry in payload["entries"] if "params" in entry
+            for name, value in entry["params"].items()
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"artifact {path} is not a parameter paths file: {exc!r}") from None
 
 
 def cmd_report(
     config: RunConfig,
-    out_dir: Path,
     fit_paths: list[str],
     report_path: str | None,
     param_paths_path: str | None,
-) -> list[str]:
+) -> Files:
     """Render plot-ready CSVs from saved artifacts; no recomputation."""
-    outputs = []
+    if not (fit_paths or report_path or param_paths_path):
+        raise DataError("report: no artifacts given (need --fit, --report or --param-paths)")
     fits = [_load_artifact(p, FitResult) for p in fit_paths]
+    names = [r.spec.family.value for r in fits]
     if fits:
         grid = np.linspace(0.005, 0.25, 200)
-        lines = ["v," + ",".join(
-            f"price_drift_{r.spec.family.value},variance_drift_{r.spec.family.value}"
-            for r in fits
-        )]
-        cols = [drift_p(grid, r.params, r.spec) for r in fits]
-        for i, v in enumerate(grid):
-            row = [repr(float(v))]
-            for mu in cols:
-                row.append(repr(float(mu[0][i])))
-                row.append(repr(float(mu[1][i])))
-            lines.append(",".join(row))
-        (out_dir / "drift_grid.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("drift_grid.csv")
+        drifts = [mu for r in fits for mu in drift_p(grid, r.params, r.spec)]
+        header = ["v"] + [f"{kind}_drift_{m}" for m in names for kind in ("price", "variance")]
+        yield "drift_grid.csv", data_io.csv_text(header, zip(grid, *drifts))
     if fits and config.input:
         series = _load_series(config)
-        lines = ["date,iv," + ",".join(
-            f"v_{r.spec.family.value},premium_{r.spec.family.value}" for r in fits
-        )]
-        per_fit = []
+        columns = []
         for r in fits:
-            v = iv_to_v(series.iv, r.params)
-            prem = risk_premium_series(series, r.params, r.spec)
-            per_fit.append((v, prem))
-        for i, date in enumerate(series.dates):
-            row = [str(date), repr(float(series.iv[i]))]
-            for v, prem in per_fit:
-                row.append(repr(float(v[i])))
-                row.append(repr(float(prem[i])))
-            lines.append(",".join(row))
-        (out_dir / "premium_series.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("premium_series.csv")
+            columns += [iv_to_v(series.iv, r.params), risk_premium_series(series, r.params, r.spec)]
+        header = ["date", "iv"] + [f"{kind}_{m}" for m in names for kind in ("v", "premium")]
+        rows = zip(series.dates, series.iv, *columns)
+        yield "premium_series.csv", data_io.csv_text(header, rows)
     if report_path:
         report = _load_artifact(report_path, ForecastReport)
-        outputs += _write_files(report.metrics_tables(report.summary()), out_dir)
+        yield from report.metrics_tables(report.summary()).items()
     if param_paths_path:
-        payload = data_io.load_results(param_paths_path)
-        lines = ["date,model,parameter,value"]
-        for entry in payload.get("entries", []):
-            for pname, value in entry.get("params", {}).items():
-                lines.append(f"{entry['date']},{entry['model']},{pname},{value!r}")
-        (out_dir / "parameter_paths.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("parameter_paths.csv")
-    if not outputs:
-        raise DataError("report: no artifacts given (need --fit, --report or --param-paths)")
-    return outputs
+        header = ["date", "model", "parameter", "value"]
+        rows = _parameter_path_rows(param_paths_path)
+        yield "parameter_paths.csv", data_io.csv_text(header, rows)
 
 
 # ----------------------------------------------------------------------
@@ -425,18 +397,26 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            outputs = cmd_simulate(config, out_dir)
+            files = cmd_simulate(config)
         elif args.command == "estimate":
-            outputs = cmd_estimate(config, out_dir)
+            files = cmd_estimate(config)
         elif args.command == "forecast":
-            outputs = cmd_forecast(config, out_dir, args.fit)
+            files = cmd_forecast(config, args.fit)
         elif args.command == "rolling":
-            outputs = cmd_rolling(config, out_dir)
+            files = cmd_rolling(config)
         elif args.command == "report":
-            outputs = cmd_report(config, out_dir, args.fit, args.report, args.param_paths)
+            files = cmd_report(config, args.fit, args.report, args.param_paths)
         else:  # pragma: no cover
             raise DataError(f"unknown command {args.command}")
-        _write_manifest(out_dir, args.command, config, outputs)
+        outputs = []
+        for name, content in files:
+            if isinstance(content, str):
+                (out_dir / name).write_text(content)
+            else:
+                save_results(content, out_dir / name)
+            outputs.append(name)
+        manifest = {"kind": "manifest", "command": args.command, "config": asdict(config)}
+        save_results(manifest | {"outputs": sorted(outputs)}, out_dir / "manifest.json")
         return 0
     except (DataError, DomainViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)

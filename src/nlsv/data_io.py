@@ -181,14 +181,27 @@ def load_results(path) -> dict:
     return payload
 
 
-def write_series_csv(series: ObservedSeries, path, vxo_unit: str = "decimal") -> None:
-    """Write a series back to the input CSV schema (prices in levels)."""
-    lines = ["date,price,vxo"]
+def csv_text(header, rows) -> str:
+    """CSV text of ``header`` and ``rows``: a number as ``repr(float)``, a
+    string or a date as it is, and ``None`` as an empty cell."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, (str, np.datetime64)) else repr(float(value))
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
+
+
+def series_csv(series: ObservedSeries, vxo_unit: str) -> str:
+    """``series`` in the input CSV schema (prices in levels)."""
     scale = 100.0 if vxo_unit == "percent" else 1.0
-    for date, x, iv in zip(series.dates, series.x, series.iv):
-        vol = float(np.sqrt(iv) * scale)
-        lines.append(f"{date},{float(np.exp(x))!r},{vol!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(series.dates, np.exp(series.x), np.sqrt(series.iv) * scale)
+    return csv_text(("date", "price", "vxo"), rows)
+
+
+def write_series_csv(series: ObservedSeries, path, vxo_unit: str = "decimal") -> None:
+    """Write :func:`series_csv` of ``series`` to ``path``."""
+    Path(path).write_text(series_csv(series, vxo_unit))
 
 
 def load_config(path) -> dict[str, str]:

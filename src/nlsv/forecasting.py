@@ -43,7 +43,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import ndtr
 
-from .data_io import ObservedSeries, split
+from .data_io import ObservedSeries, csv_text, split
 from .likelihood import FitResult, LikelihoodConfig, fit
 from .model import (
     DAYS_PER_YEAR,
@@ -164,7 +164,7 @@ def forecast_targets(
         if spec.family is Family.RW:
             current = {"x": x_now, "iv": iv_now, "rv": iv_now}
             out[name] = {
-                t: {h: current[t] for h in (0,) + horizons.for_target(t)} for t in TARGETS
+                t: {h: current[t] for h in horizons.for_target(t)} for t in TARGETS
             }
             continue
         v0 = float(iv_to_v(iv_now, params))
@@ -174,12 +174,12 @@ def forecast_targets(
             mean_v, int_v, sum_v = _euler_chain(params, spec, dt, horizons).moments(v0)
         a_c, b_c = swap_coefficients(params, SWAP_TENOR_YEARS)
         out[name] = {
-            "x": {0: x_now} | {
+            "x": {
                 h: float(x_now + params.a0 * (h / DAYS_PER_YEAR) + params.a1 * i)
                 for h, i in zip(hs, int_v)
             },
-            "iv": {0: iv_now} | {h: float(a_c + b_c * m) for h, m in zip(hs, mean_v)},
-            "rv": {0: iv_now} | {h: float(sv / h) for h, sv in zip(rv_hs, sum_v)},
+            "iv": {h: float(a_c + b_c * m) for h, m in zip(hs, mean_v)},
+            "rv": {h: float(sv / h) for h, sv in zip(rv_hs, sum_v)},
         }
     return out
 
@@ -456,8 +456,9 @@ class ForecastReport:
 
     This class owns the report's format: the cell keys
     ``sample|model|target|h`` and test keys ``sample|big_vs_small|target|h``
-    of :meth:`summary`, and the metrics CSV layout of :meth:`metrics_tables`.
-    Callers write what these return and parse no key.
+    of :meth:`summary`, and the rows and columns of the metrics tables of
+    :meth:`metrics_tables`, whose cells :func:`nlsv.data_io.csv_text`
+    formats.  Callers write what these return and parse no key.
     """
 
     cells: dict[str, dict[str, list]] = field(default_factory=dict)
@@ -538,26 +539,25 @@ class ForecastReport:
         out.  A target without metrics has no table.
         """
         tables, samples, models = {}, self.samples(), self.models()
+        scores, tests = summary["metrics"], summary["clark_west"]
+        blocks = [
+            (b.upper(), m, scores, b) for b in ("rmse", "nmse", "mae", "dir") for m in models
+        ]
+        blocks += [("CW", f"{big}_vs_{small}", tests, "p_value") for small, big in CW_PAIRS]
         for target in TARGETS:
-            keys = map(_split_key, summary["metrics"])
+            keys = map(_split_key, scores)
             horizons = sorted({h for _, _, t, h in keys if t == target})
             if not horizons:
                 continue
-            lines = ["sample,block,name," + ",".join(f"h{h}" for h in horizons)]
-
-            def row(sample, block, name, table, column):
-                found = [table.get(_cell_key(sample, name, target, h)) for h in horizons]
-                cells = [repr(value[column]) if value else "" for value in found]
-                if any(cells):
-                    lines.append(f"{sample},{block},{name}," + ",".join(cells))
-
+            rows = []
             for sample in samples:
-                for block in ("rmse", "nmse", "mae", "dir"):
-                    for model in models:
-                        row(sample, block.upper(), model, summary["metrics"], block)
-                for small, big in CW_PAIRS:
-                    row(sample, "CW", f"{big}_vs_{small}", summary["clark_west"], "p_value")
-            tables[f"metrics_{target}.csv"] = "\n".join(lines) + "\n"
+                for block, name, table, column in blocks:
+                    found = [table.get(_cell_key(sample, name, target, h)) for h in horizons]
+                    values = [value[column] if value else None for value in found]
+                    if any(value is not None for value in values):
+                        rows.append((sample, block, name, *values))
+            header = ("sample", "block", "name", *(f"h{h}" for h in horizons))
+            tables[f"metrics_{target}.csv"] = csv_text(header, rows)
         return tables
 
     def to_dict(self) -> dict:

@@ -467,24 +467,29 @@ def test_metrics_csvs_are_pinned_byte_for_byte(tmp_path):
     assert (out / "metrics_rv.csv").read_text() == PINNED_METRICS_RV
     assert not (out / "metrics_x.csv").exists()
 
-def test_nl_drift_grid_sign_change(estimate_dir, tmp_path, sim_dir):
-    # Variance drift at the NL anchor is positive in the calm region and
-    # crosses to negative inside (0.01, 0.04): mean repulsion at low
-    # variance, reversion from above.
-    tmp, cfg, est = estimate_dir
-    rep = tmp_path / "grid"
-    fit_path = tmp_path / "fit_anchor.json"
+def _save_anchor_fit(path):
+    """A fit artifact of the NL anchor, as ``nlsv report --fit`` reads it."""
     from nlsv.data_io import save_results
     from nlsv.likelihood import FitResult
-    from nlsv.params import ModelSpec, Family
+    from nlsv.params import Family, ModelSpec
 
     anchor = FitResult(
         params=NL_PARAMS, spec=ModelSpec(Family.NL), loglik=0.0, covariance=np.zeros((1, 1)),
         std_errors={"sigma": 0.0}, converged=True, n_iterations=0,
         n_evaluations=0, seed=0,
     )
-    save_results(anchor, fit_path)
-    code = main(["report", "--config", str(cfg), "--fit", str(fit_path), "--out", str(rep)])
+    save_results(anchor, path)
+    return str(path)
+
+
+def test_nl_drift_grid_sign_change(estimate_dir, tmp_path, sim_dir):
+    # Variance drift at the NL anchor is positive in the calm region and
+    # crosses to negative inside (0.01, 0.04): mean repulsion at low
+    # variance, reversion from above.
+    tmp, cfg, est = estimate_dir
+    rep = tmp_path / "grid"
+    fit_path = _save_anchor_fit(tmp_path / "fit_anchor.json")
+    code = main(["report", "--config", str(cfg), "--fit", fit_path, "--out", str(rep)])
     assert code == 0
     rows = (rep / "drift_grid.csv").read_text().splitlines()[1:]
     grid = np.array([[float(c) for c in row.split(",")] for row in rows])
@@ -492,6 +497,116 @@ def test_nl_drift_grid_sign_change(estimate_dir, tmp_path, sim_dir):
     window = (v > 0.01) & (v < 0.04)
     signs = np.sign(mu_v[window])
     assert signs.max() > 0 and signs.min() < 0
+
+
+PINNED_SERIES = {
+    "decimal": (
+        "date,price,vxo\n"
+        "1999-12-30,1464.4700000000005,0.21\n"
+        "1999-12-31,1469.2500000000007,0.24\n"
+        "2000-01-03,1455.2199999999998,0.27\n"
+    ),
+    "percent": (
+        "date,price,vxo\n"
+        "1999-12-30,1464.4700000000005,21.0\n"
+        "1999-12-31,1469.2500000000007,24.0\n"
+        "2000-01-03,1455.2199999999998,27.0\n"
+    ),
+}
+
+PINNED_PREMIUM = (
+    "date,iv,v_NL,premium_NL\n"
+    "1999-12-30,0.04409999999999999,0.02463309253469223,-5.543293815799134\n"
+    "1999-12-31,0.0576,0.03271610185965162,-5.717059693968953\n"
+    "2000-01-03,0.0729,0.04187684576127226,-6.111635851272827\n"
+)
+
+PINNED_PARAMETER_PATHS = (
+    "date,model,parameter,value\n"
+    "2000-01-03,NL,b2,-180.7473\n"
+    "2000-01-03,NL,sigma,2.1734\n"
+)
+
+#: The 200-row drift grid at the NL anchor: its first two lines and the
+#: SHA-256 of the whole file.
+PINNED_DRIFT_GRID_HEAD = (
+    "v,price_drift_NL,variance_drift_NL\n"
+    "0.005,0.058835,0.06987681750000001\n"
+)
+PINNED_DRIFT_GRID_SHA256 = "109e4b3829b8648676415dc2aee74022723a968cc1b91f4c392158cdf74f7212"
+
+
+def test_plot_ready_csvs_are_pinned_byte_for_byte(tmp_path):
+    # A 3-row series written in both units, then read back by ``report``
+    # with the NL anchor fit and a parameter-paths file whose second entry
+    # is a failed refit (skipped).
+    import hashlib
+
+    from nlsv.data_io import ObservedSeries, save_results, write_series_csv
+
+    series = ObservedSeries(
+        np.array(["1999-12-30", "1999-12-31", "2000-01-03"], dtype="datetime64[D]"),
+        np.log([1464.47, 1469.25, 1455.22]),
+        np.array([0.0441, 0.0576, 0.0729]),
+    )
+    for unit, pinned in PINNED_SERIES.items():
+        write_series_csv(series, tmp_path / f"series_{unit}.csv", vxo_unit=unit)
+        assert (tmp_path / f"series_{unit}.csv").read_text() == pinned
+    entries = [
+        {"date": "2000-01-03", "model": "NL", "params": {"sigma": 2.1734, "b2": -180.7473}},
+        {"date": "2000-01-04", "model": "NL", "error": "refit failed"},
+    ]
+    save_results({"kind": "parameter_paths", "entries": entries}, tmp_path / "paths.json")
+    out = tmp_path / "out"
+    argv = [
+        "report", "--fit", _save_anchor_fit(tmp_path / "fit_NL.json"),
+        "--input", str(tmp_path / "series_decimal.csv"),
+        "--param-paths", str(tmp_path / "paths.json"), "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert (out / "premium_series.csv").read_text() == PINNED_PREMIUM
+    assert (out / "parameter_paths.csv").read_text() == PINNED_PARAMETER_PATHS
+    grid = (out / "drift_grid.csv").read_bytes()
+    assert grid.decode().startswith(PINNED_DRIFT_GRID_HEAD)
+    assert hashlib.sha256(grid).hexdigest() == PINNED_DRIFT_GRID_SHA256
+
+
+def test_failing_command_keeps_earlier_files_and_writes_no_manifest(tmp_path, capsys):
+    # The drift grid is written before the missing input is read; the
+    # failure keeps it and leaves no manifest to re-run from.
+    out = tmp_path / "out"
+    argv = [
+        "report", "--fit", _save_anchor_fit(tmp_path / "fit_NL.json"),
+        "--input", str(tmp_path / "missing.csv"), "--out", str(out),
+    ]
+    assert main(argv) == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert (out / "drift_grid.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def _fit_as_param_paths(tmp_path):
+    return _save_anchor_fit(tmp_path / "fit_NL.json")
+
+
+def _param_paths_entry_without_date(tmp_path):
+    from nlsv.data_io import save_results
+
+    path = tmp_path / "paths.json"
+    entries = [{"model": "NL", "params": {"sigma": 2.0}}]
+    save_results({"kind": "parameter_paths", "entries": entries}, path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make", [_fit_as_param_paths, _param_paths_entry_without_date],
+    ids=["fit-artifact", "entry-without-date"],
+)
+def test_report_rejects_a_malformed_param_paths_file(tmp_path, capsys, make):
+    path = make(tmp_path)
+    argv = ["report", "--param-paths", path, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert path in capsys.readouterr().err
 
 
 def test_rolling_command(sim_dir, tmp_path):

@@ -38,6 +38,10 @@ ALLOWED = {
     "likelihood.LikelihoodConfig.rate",
     "likelihood.LikelihoodConfig.dampening_c",
     "likelihood.LikelihoodConfig.bridge_draws",
+    # The commands yield ``series_csv`` text, but the benchmark writes its
+    # input series with this function; the next benchmark change may
+    # delete it.
+    "data_io.write_series_csv",
 }
 
 
@@ -160,6 +164,9 @@ ONE_VALUE_ALLOWED = {
     "cli.main.argv",
     # The rolling tests warm-start their in-sample fits with it.
     "forecasting.rolling_evaluation.init",
+    # The benchmark writes its input series with ``write_series_csv`` in
+    # the default unit; the next benchmark change may delete both.
+    "data_io.write_series_csv.vxo_unit",
 }
 
 

@@ -73,25 +73,14 @@ def test_rw_forecasts_are_current_values():
         assert out["RW"]["rv"][h] == 0.053
 
 
-def test_zero_horizon_returns_current_state():
-    out = forecast_targets(
-        1.0, 0.04, {"LN": (LN_PARAMS, LN), "RW": (None, RW)},
-        HorizonGrid(returns_iv=(1,), rv=(5,)), dt=1 / 262,
-    )
-    for model in ("LN", "RW"):
-        assert out[model]["x"][0] == 1.0
-        assert out[model]["iv"][0] == 0.04
-
-
 @pytest.mark.parametrize(
     "returns_iv, rv",
     [((0, 1), (5,)), ((1, 5), (0,)), ((1, 5, 5), (5,)), ((1,), (5, 22, 5)), ((), (5,))],
     ids=["zero", "zero-rv", "repeat", "repeat-rv", "empty"],
 )
 def test_horizon_grid_rejects_zero_repeated_or_no_horizons(returns_iv, rv):
-    # A horizon of 0 would read an NL chain row that no step fills (the
-    # current state is forecast at h = 0 already), and a repeated one would
-    # record every origin twice.
+    # A horizon of 0 would read an NL chain row that no step fills, and a
+    # repeated one would record every origin twice.
     with pytest.raises(DomainViolation, match="horizons"):
         HorizonGrid(returns_iv=returns_iv, rv=rv)
 
@@ -214,7 +203,7 @@ def test_ln_forecasts_are_bitwise_the_per_day_scalar_formula(b1, b1_q):
     got = forecast_targets(x0, iv0, {"LN": (p, LN)}, grid, 1 / (262 * 8))
     for target in ("x", "iv", "rv"):
         assert got["LN"][target] == {
-            h: float(daily[target][h]) for h in (0,) + grid.for_target(target)
+            h: float(daily[target][h]) for h in grid.for_target(target)
         }, target
 
 
