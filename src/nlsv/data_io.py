@@ -79,8 +79,7 @@ def load_csv(path, vxo_unit: str, price_is_log: bool = False) -> ObservedSeries:
     problems are reported together with their 1-based row numbers; nothing
     is silently repaired.
     """
-    if vxo_unit not in ("percent", "decimal"):
-        raise DataError(f"vxo_unit must be 'percent' or 'decimal', got {vxo_unit!r}")
+    scale = _vxo_scale(vxo_unit)
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
@@ -124,7 +123,7 @@ def load_csv(path, vxo_unit: str, price_is_log: bool = False) -> ObservedSeries:
                 continue
             dates.append(date)
             xs.append(price if price_is_log else np.log(price))
-            vol = vxo / 100.0 if vxo_unit == "percent" else vxo
+            vol = vxo / scale
             ivs.append(vol * vol)
     if problems:
         shown = "; ".join(problems[:20])
@@ -192,10 +191,16 @@ def csv_text(header, rows) -> str:
     return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
 
 
+def _vxo_scale(vxo_unit: str) -> float:
+    """100 for an index in percent, 1 in decimal; another unit is a DataError."""
+    if vxo_unit not in ("percent", "decimal"):
+        raise DataError(f"vxo_unit must be 'percent' or 'decimal', got {vxo_unit!r}")
+    return 100.0 if vxo_unit == "percent" else 1.0
+
+
 def series_csv(series: ObservedSeries, vxo_unit: str) -> str:
     """``series`` in the input CSV schema (prices in levels)."""
-    scale = 100.0 if vxo_unit == "percent" else 1.0
-    rows = zip(series.dates, np.exp(series.x), np.sqrt(series.iv) * scale)
+    rows = zip(series.dates, np.exp(series.x), np.sqrt(series.iv) * _vxo_scale(vxo_unit))
     return csv_text(("date", "price", "vxo"), rows)
 
 

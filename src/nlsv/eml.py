@@ -47,7 +47,7 @@ import numpy as np
 
 from .params import DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import BridgeStep, modified_bridge_walk, y_bridge_walk
+from .simulate import BridgeStep, lattice_buffers, modified_bridge_walk, y_bridge_walk
 
 #: Condition-number threshold above which the normal equations are
 #: reported as ill-conditioned instead of solved.
@@ -56,9 +56,9 @@ COND_THRESHOLD = 1e12
 #: Lattice points in one chunk of intervals: the EML chunk of 128
 #: intervals at the paper's S = 576 walks of M + 1 = 25 points.  A chunk's
 #: innovations are twice this many floats, (M-1, 2, B, R) step-major, and
-#: each array of one walk step, like each (B, R) slab of innovations it
-#: reads, CHUNK_POINTS/(M+1), so it bounds the memory of assembly and of
-#: the simulated likelihood at any budget.
+#: a block walks them in (B, R) slabs of CHUNK_POINTS/(M+1) floats, each
+#: allocated once: 3 for the Y bridge, 3 for the price, and 6 for the
+#: likelihood or one per design row (at most 8) for a drift system.
 CHUNK_POINTS = 128 * 576 * 25
 
 
@@ -222,15 +222,14 @@ def assemble_system(
             if x_obs is None
             else modified_bridge_walk(u[block], u[block + 1], params, eps_blk)
         )
-        rows = np.empty((regression.n_rows, len(block), n_bridges))
-        by_interval = rows.transpose(1, 0, 2)
-        basis = rows[:n_basis].transpose(1, 2, 0)
-        sums = 0.0                       # (B, K, L): every row times the basis
+        rows = lattice_buffers((regression.n_rows, len(block), n_bridges), 1)[0]
+        by_interval, basis = rows.transpose(1, 0, 2), rows[:n_basis].transpose(1, 2, 0)
+        sums, product = np.zeros((2, len(block), regression.n_rows, n_basis))  # rows x basis
         # Overflow of the state transform is reported below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for step in walk:
                 regression.write(step, delta, rows)
-                sums = sums + by_interval @ basis
+                sums += np.matmul(by_interval, basis, out=product)
         return sums
 
     sums = np.concatenate(map_chunks(block_sums, len(idx), n_bridges, aug_steps))
@@ -258,7 +257,7 @@ def draw_bridge_eps(
     intervals across workers sees identical draws.
     """
     interval_indices = np.asarray(interval_indices, dtype=int)
-    out = np.empty((aug_steps - 1, 2, len(interval_indices), n_draws))
+    out = lattice_buffers((aug_steps - 1, 2, len(interval_indices), n_draws), 1)[0]
     scale = np.sqrt(delta)
     for j, n in enumerate(interval_indices):
         block = rng.substream(int(n)).generator().standard_normal((n_draws, aug_steps - 1, 2))
@@ -281,17 +280,15 @@ def _variance_design(step: BridgeStep, delta: float, params: ParamVector, spec: 
     """Write the variance regression's basis values ``f`` (L, B, R) and
     offset ``g`` (B, R) at one walk step; see :func:`solve_variance_drift`."""
     sigma = params.sigma
-    v = step.s * step.s
     np.add(step.dy, 0.5 * sigma * delta, out=g)
     if spec.family is Family.LN:
+        g -= np.divide(params.b0_q * delta / sigma, np.multiply(step.s, step.s, out=f[0]), out=f[0])
         f[0] = 1.0 / sigma
-        v *= sigma
-        g -= params.b0_q * delta / v
     else:
-        np.divide(1.0, np.multiply(sigma, v, out=f[0]), out=f[0])
+        v = np.multiply(step.s, step.s, out=f[2])
+        np.divide(np.divide(1.0 / sigma, v, out=f[0]), v, out=f[3])
         f[1] = 1.0 / sigma
-        np.divide(v, sigma, out=f[2])
-        np.divide(f[0], v, out=f[3])
+        v *= 1.0 / sigma
 
 
 def solve_variance_drift(
@@ -359,10 +356,8 @@ def solve_stock_drift(
     coeffs = np.array([getattr(params, k) for k in spec.variance_names])
 
     def write(step: BridgeStep, delta: float, rows: np.ndarray) -> None:
-        s, inv_rs = step.s, rows[0]
-        np.divide(1.0, np.multiply(root, s, out=inv_rs), out=inv_rs)
-        np.divide(s, root, out=rows[1])
-        np.multiply(step.dx, inv_rs, out=rows[2])
+        np.multiply(step.dx, np.divide(1.0 / root, step.s, out=rows[0]), out=rows[2])
+        np.multiply(step.s, 1.0 / root, out=rows[1])
         _variance_design(step, delta, params, spec, rows[4:], rows[3])
 
     sums = assemble_system(

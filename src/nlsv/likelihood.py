@@ -35,12 +35,12 @@ from .model import (
     SWAP_TENOR_YEARS,
     gamma_transform,
     iv_to_v,
-    log_variance_drift,
     swap_coefficients,
+    variance_drift_over_v,
 )
 from .params import OUTER, DomainViolation, Family, ModelSpec, ParamVector
 from .rng import RngStream
-from .simulate import modified_bridge_walk
+from .simulate import lattice_buffers, modified_bridge_walk
 
 #: Top-level stream ids reserved by the estimation pipeline.
 STREAM_EML = 1
@@ -143,31 +143,6 @@ class FitResult:
         )
 
 
-def _euler_quad(dx, dy, s, params: ParamVector, spec: ModelSpec, delta: float):
-    """Quadratic form r' (delta Sigma Sigma')^{-1} r of an Euler increment
-    (dx, dy) departing from a state with s = exp(sigma*y/2), so V = s^2.
-
-    No domain checks: overflow in the state transform propagates as
-    non-finite values, which the simulated likelihood reads as a zero
-    importance weight.
-    """
-    rho = params.rho
-    v = s * s
-    rx = dx - (params.a0 + params.a1 * v) * delta
-    ry = log_variance_drift(v, params, spec)
-    ry *= delta
-    ry = dy - ry
-    return (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) / v / (
-        delta * (1.0 - rho**2)
-    )
-
-
-def _euler_log_norm(params: ParamVector, delta: float) -> float:
-    """Constant term of the Euler step log-density; the departing state
-    adds -sigma*y/2 to it."""
-    return -math.log(2.0 * math.pi * delta) - 0.5 * math.log(1.0 - params.rho**2)
-
-
 def _sml_batch(
     u_from: np.ndarray,
     u_to: np.ndarray,
@@ -195,27 +170,43 @@ def _sml_batch(
         - sigma * Y_{M-1} / 2 + log of the Euler normalizing constant,
 
     with Q_m the Euler quadratic form of step m and the last step, from
-    Y_{M-1} to the endpoint, carrying the only log-determinant left.  A
-    step costs the walk's one exp, s = exp(sigma*Y_m/2), and no log.
-    The sum of e_m'e_m adds the (..., S) slabs elementwise in step order,
-    so a draw's value does not depend on the shape of the batch it is in;
-    an einsum reduction would choose its order from the array's strides.
+    Y_{M-1} to the endpoint, carrying the only log-determinant left.  With
+    V = s^2 from the walk's one exp per step and the residuals
+    r_x = dx - (a0 + a1 V) delta, r_y = dy - mu_Y(V) delta about the Euler
+    mean, delta Q_m = (r_x/s - rho r_y)^2 / (1 - rho^2) + r_y^2.  Each step
+    adds e_{m,x}^2, e_{m,y}^2 and -r_y^2, in this order, to one (..., S)
+    buffer and (r_x/s - rho r_y)^2 to another, while its innovation slabs
+    are in cache, and allocates nothing of the batch's size; a draw's value
+    does not depend on the shape of its batch, as an einsum's sum would.
     """
-    m_total = config.aug_steps
-    delta = config.delta_obs / m_total
-    quad = 0.0
+    delta = config.delta_obs / config.aug_steps
+    rho, sigma = params.rho, params.sigma
+    logw, whitened, v, rx, ry, scratch = lattice_buffers(eps.shape[2:], 6)
+    logw[...] = whitened[...] = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in modified_bridge_walk(u_from, u_to, params, eps):
-            quad = quad + _euler_quad(step.dx, step.dy, step.s, params, spec, delta)
-        ee = 0.0
-        for e in eps.reshape((-1,) + eps.shape[2:]):
-            ee = ee + e * e
-        logw = (
-            0.5 * (ee / delta - quad) - 0.5 * params.sigma * step.y
-            + (_euler_log_norm(params, delta) - math.log(m_total))
-        )
-    # A draw that escaped the representable state region carries zero weight.
-    return np.where(np.isfinite(logw), logw, -np.inf)
+        for m, step in enumerate(modified_bridge_walk(u_from, u_to, params, eps)):
+            if m < len(eps):
+                logw += np.multiply(eps[m, 0], eps[m, 0], out=scratch)
+                logw += np.multiply(eps[m, 1], eps[m, 1], out=scratch)
+            np.multiply(step.s, step.s, out=v)
+            np.multiply(v, params.a1 * delta, out=rx)
+            rx += params.a0 * delta
+            np.subtract(step.dx, rx, out=rx)
+            variance_drift_over_v(v, params, spec, out=ry, scratch=scratch)
+            ry *= -delta / sigma
+            ry += step.dy
+            ry += 0.5 * sigma * delta
+            rx /= step.s
+            rx -= np.multiply(ry, rho, out=scratch)
+            whitened += np.multiply(rx, rx, out=rx)
+            logw -= np.multiply(ry, ry, out=ry)
+        logw -= np.multiply(whitened, 1.0 / (1.0 - rho**2), out=whitened)
+        logw *= 0.5 / delta
+        logw -= np.multiply(step.y, 0.5 * sigma, out=scratch)
+        logw -= math.log(2.0 * math.pi * delta) + 0.5 * math.log(1.0 - rho**2) + math.log(len(eps) + 1)
+        # A draw that escaped the representable state region carries zero weight.
+        np.copyto(logw, -np.inf, where=~np.isfinite(logw))
+    return logw
 
 
 def _log_mean_weight(logw: np.ndarray) -> np.ndarray:
@@ -281,10 +272,8 @@ def total_loglik(
     Per-interval draws come from ``rng.substream(i)``, so the value does
     not depend on how intervals are partitioned across workers.
     :func:`nlsv.eml.map_chunks` evaluates blocks of intervals, their S
-    walks step by step, on ``eml.WORKERS`` threads from ``eml.POOL_POINTS``
-    lattice points per worker, so memory is bounded by ``eml.CHUNK_POINTS``
-    lattice points in flight and a (block, S) array per step; without a
-    pre-drawn ``eps``, shape (M-1, 2, N, S) as
+    walks step by step, so memory is bounded by ``eml.CHUNK_POINTS``
+    lattice points in flight; without a pre-drawn ``eps``, (M-1, 2, N, S) as
     :func:`nlsv.eml.draw_bridge_eps` gives it, the innovations are drawn
     block by block too.  At M = 1 there are none, and each interval's
     density is the Euler density of its one step.

@@ -40,26 +40,26 @@ def _check_variance(v) -> np.ndarray:
     return v
 
 
-def variance_drift_over_v(v, params: ParamVector, spec: ModelSpec):
+def variance_drift_over_v(v, params: ParamVector, spec: ModelSpec, out=None, scratch=None):
     """Real-world variance drift divided by V: b0_q/V + b1 for LN and
     (b3/V + b0)/V + b1 + b2*V for NL.
 
     The one place each family's drift formula is written.  No domain
     checks: a non-finite or non-positive ``v`` propagates to the result,
     which the simulated likelihood reads as a zero weight and the drift
-    solvers report after the fact.  The sum is accumulated in place, so a
-    lattice-sized ``v`` costs at most two more arrays of its size.
+    solvers report after the fact.  The sum is accumulated in place, in
+    ``out`` if given, and NL's b2*V term in ``scratch`` if given.
     """
     if spec.family is Family.LN:
-        out = params.b0_q / v
+        out = np.divide(params.b0_q, v, out=out)
         out += params.b1
         return out
     if spec.family is Family.NL:
-        out = params.b3 / v
+        out = np.divide(params.b3, v, out=out)
         out += params.b0
         out /= v
         out += params.b1
-        out += params.b2 * v
+        out += np.multiply(params.b2, v, out=scratch)
         return out
     raise DomainViolation("RW has no drift model")
 

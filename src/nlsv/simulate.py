@@ -16,11 +16,12 @@ likelihood and the bridge of the drift systems' expectations.  In (x, y)
 coordinates the rows of Sigma are (sqrt(1-rho^2)*s, rho*s) and (0, 1)
 with s = exp(sigma*Y_m/2): Y has unit diffusion, so its path is the plain
 Brownian bridge of e_y, and only the X noise is scaled, by the s of the
-departing point.  The walk is built in two layers: the Y bridge
-(:func:`y_bridge_walk`), which takes that one exp per point and hands it
-on, and the X recursion on top of it (:func:`modified_bridge_walk`).  A
-caller that reads only Y, s and dy, as the variance drift system does,
-walks the Y bridge alone and never reads a price innovation.
+departing point.  The walk is built in two layers, the Y bridge
+(:func:`y_bridge_walk`), which takes that one exp per point, and the X
+recursion on top of it (:func:`modified_bridge_walk`); the variance drift
+system reads only Y, s and dy and walks the Y bridge alone.  Each layer
+updates its (..., R) arrays, allocated once per walk, in place and yields
+the same arrays at every step: they are valid until the walk advances.
 """
 
 from __future__ import annotations
@@ -122,12 +123,24 @@ def simulate_paths(
     return PathEnsemble(x=xs, v=vs)
 
 
+def lattice_buffers(shape, n: int) -> np.ndarray:
+    """``n`` uninitialized float arrays of ``shape``, stacked; from 4096 floats
+    each on 64-byte cache lines, where numpy writes up to 2.5 times faster."""
+    size = math.prod(shape)
+    if size < 4096:  # aligning costs more than it saves on arrays this small
+        return np.empty((n, *shape))
+    stride = size + -size % 8
+    raw = np.empty(n * stride + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + n * stride].reshape(n, stride)[:, :size].reshape(n, *shape)
+
+
 class BridgeStep(NamedTuple):
     """One lattice step of the modified bridge.  The increments have the
     walk's shape (..., R); the departing y and s broadcast against them,
     and at the first step they are the endpoint's, shape (..., 1).  A step
-    of the Y bridge alone has no dx.  The walk advances from these
-    arrays: read them, never write."""
+    of the Y bridge alone has no dx.  The arrays are the walk's own
+    buffers, valid until it advances: read them, never write."""
 
     y: np.ndarray           # departing point Y_m
     s: np.ndarray           # exp(sigma * Y_m / 2), so V_m = s^2
@@ -144,19 +157,18 @@ def y_bridge_walk(y0, y1, sigma: float, eps: np.ndarray) -> Iterator[BridgeStep]
     step takes the one exp s = exp(sigma*Y_m/2) at its departing point and
     yields it with dy and no dx; step M-1 is the increment y1 - Y_{M-1}.
     """
-    m_total = eps.shape[0] + 1
     y, y_end = y0[..., None], y1[..., None]
-    for m in range(m_total - 1):
-        remain = m_total - m
-        s = np.multiply(0.5 * sigma, y)
-        np.exp(s, out=s)
-        dy = math.sqrt((remain - 1) / remain) * eps[m, 1]
-        dy += (y_end - y) / remain
-        yield BridgeStep(y, s, None, dy)
-        y = y + dy
-    yield BridgeStep(
-        y, np.exp(0.5 * sigma * y), None, np.subtract(y_end, y, out=np.empty(eps.shape[2:]))
-    )
+    path, s_buf, dy = lattice_buffers(eps.shape[2:], 3)
+    for m, remain in enumerate(range(eps.shape[0] + 1, 0, -1)):  # remain = M - m
+        if m:
+            y = np.add(y, dy, out=path)
+        s = s_buf[..., : y.shape[-1]]  # at step 0 its first column, the endpoints'
+        if remain > 1:  # s serves the pull towards y1 until it takes exp(sigma*y/2)
+            np.multiply(eps[m, 1], math.sqrt((remain - 1) / remain), out=dy)
+            dy += np.multiply(np.subtract(y_end, y, out=s), 1.0 / remain, out=s)
+        else:
+            np.subtract(y_end, y, out=dy)
+        yield BridgeStep(y, np.exp(np.multiply(y, 0.5 * sigma, out=s), out=s), None, dy)
 
 
 def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterator[BridgeStep]:
@@ -173,19 +185,18 @@ def modified_bridge_walk(u0, u1, params: ParamVector, eps: np.ndarray) -> Iterat
     and the one step is the whole interval, repeated for each of the R
     walks.
     """
-    m_total = eps.shape[0] + 1
-    rho = params.rho
-    root = math.sqrt(1.0 - rho**2)
+    root = math.sqrt(1.0 - params.rho**2)
     x, x_end = u0[..., 0, None], u1[..., 0, None]
+    path, dx, scratch = lattice_buffers(eps.shape[2:], 3)
     steps = y_bridge_walk(u0[..., 1], u1[..., 1], params.sigma, eps)
-    for m, step in zip(range(m_total - 1), steps):
-        remain = m_total - m
+    for m, step in zip(range(eps.shape[0]), steps):
+        remain = eps.shape[0] + 1 - m
         root_fac = math.sqrt((remain - 1) / remain)
-        dx = root * eps[m, 0]
-        dx += rho * eps[m, 1]
-        dx *= root_fac * step.s
-        dx += (x_end - x) / remain
+        np.multiply(eps[m, 0], root * root_fac, out=dx)
+        dx += np.multiply(eps[m, 1], params.rho * root_fac, out=scratch)
+        dx *= step.s
+        dx += np.multiply(np.subtract(x_end, x, out=scratch), 1.0 / remain, out=scratch)
         yield BridgeStep(step.y, step.s, dx, step.dy)
-        x = x + dx
+        x = np.add(x, dx, out=path)
     step = next(steps)
-    yield BridgeStep(step.y, step.s, np.subtract(x_end, x, out=np.empty(eps.shape[2:])), step.dy)
+    yield BridgeStep(step.y, step.s, np.subtract(x_end, x, out=dx), step.dy)

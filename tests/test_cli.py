@@ -93,6 +93,18 @@ def test_simulate_zero_rows_header_only(tmp_path):
     assert (out / "series.csv").read_text() == "date,price,vxo\n"
 
 
+def test_simulate_unknown_vxo_unit_nonzero_exit(tmp_path, capsys):
+    # A unit that ``load_csv`` would reject is refused before the series
+    # is written, so no manifest records it.
+    cfg = tmp_path / "pct.cfg"
+    cfg.write_text(SIM_CFG.replace("vxo_unit = percent", "vxo_unit = pct"))
+    out = tmp_path / "pct"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "vxo_unit" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_seed_changes_output(sim_dir, tmp_path):
     root, out = sim_dir
     out2 = tmp_path / "seeded"

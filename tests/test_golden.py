@@ -90,7 +90,11 @@ def test_golden_values(series, key):
 # standard errors were re-recorded when the stock system came to sum its
 # offset by linearity: that reorders its sums and moves (a0, a1) by up to
 # 5e-13 relative here, and the finite differences move by up to 5e-9
-# (LN) and 1.4e-5 (NL) relative.
+# (LN) and 1.4e-5 (NL) relative.  They were re-recorded again when the
+# lattice kernels came to multiply by reciprocals where they divided by
+# scalars and the likelihood to sum its quadratic form whitened: that
+# moves (a0, a1) and the drift coefficients by up to 5e-13 relative, and
+# the standard errors by up to 9.7e-8 (LN) and 3.3e-6 (NL) relative.
 GOLDEN_FITS = {
     "LN": {
         "loglik": 2591.5809741804906,
@@ -101,9 +105,9 @@ GOLDEN_FITS = {
             "a0": -0.16848349759552608, "a1": 15.565074126293508, "b1": -9.41624360097131,
         },
         "std_errors": {
-            "sigma": 0.20568118015801587, "rho": 0.030104769290901685,
-            "b0_q": 0.021170320664711743, "b1_q": 2.629986676248916,
-            "a0": 0.13384468429809482, "a1": 9.661974451310334, "b1": 2.9728067944838017,
+            "sigma": 0.20568118253689915, "rho": 0.030104769224948157,
+            "b0_q": 0.021170321078012335, "b1_q": 2.6299866549256476,
+            "a0": 0.1338446857249642, "a1": 9.661973513423574, "b1": 2.9728066773682484,
         },
     },
     "NL": {
@@ -117,11 +121,11 @@ GOLDEN_FITS = {
             "b2": -497.3827640112469, "b3": 0.002074065420254644,
         },
         "std_errors": {
-            "sigma": 0.23698098728294203, "rho": 0.027891525042264362,
-            "b0_q": 0.024098508455296635, "b1_q": 2.6350804409072692,
-            "a0": 0.18208799139807177, "a1": 12.780501318584008,
-            "b0": 0.24052974701114516, "b1": 17.86203631051276,
-            "b2": 350.2960004814693, "b3": 0.0009715432791783995,
+            "sigma": 0.23698140350493882, "rho": 0.02789153744364702,
+            "b0_q": 0.024098568293725576, "b1_q": 2.635089232214706,
+            "a0": 0.1820880569926137, "a1": 12.780507821055854,
+            "b0": 0.2405299410134887, "b1": 17.86205317684832,
+            "b2": 350.2963242211151, "b3": 0.0009715439100069388,
         },
     },
 }

@@ -17,8 +17,6 @@ from scipy.special import logsumexp
 from nlsv import eml, likelihood
 from nlsv.likelihood import (
     LikelihoodConfig,
-    _euler_log_norm,
-    _euler_quad,
     _log_mean_weight,
     _rel_se,
     _sml_batch,
@@ -119,16 +117,25 @@ def euler_density(u_next, u_curr, params, spec, delta):
     """Reference: log-density of one Euler step in (x, y) coordinates.
 
     The increment has mean (price drift, y drift) * delta and covariance
-    delta * Sigma Sigma' evaluated at the departing state; broadcasting
-    over leading dimensions is supported.
+    delta * Sigma Sigma' evaluated at the departing state, with
+    s = exp(sigma*y/2) and V = s^2; its quadratic form is
+    r' (delta Sigma Sigma')^{-1} r of the residual r about the mean.
+    Broadcasting over leading dimensions is supported.
     """
     u_next = np.asarray(u_next, dtype=float)
     u_curr = np.asarray(u_curr, dtype=float)
     y0 = u_curr[..., 1]
+    rho = params.rho
     s = np.exp(0.5 * params.sigma * y0)
-    dx, dy = u_next[..., 0] - u_curr[..., 0], u_next[..., 1] - y0
-    quad = _euler_quad(dx, dy, s, params, spec, delta)
-    return _euler_log_norm(params, delta) - 0.5 * params.sigma * y0 - 0.5 * quad
+    v = s * s
+    mu_x, mu_y = _drifts(y0, params, spec)
+    rx = u_next[..., 0] - u_curr[..., 0] - mu_x * delta
+    ry = u_next[..., 1] - y0 - mu_y * delta
+    quad = (rx * rx - 2.0 * rho * s * rx * ry + v * ry * ry) / v / (delta * (1.0 - rho**2))
+    return (
+        -math.log(2.0 * math.pi * delta) - 0.5 * math.log(1.0 - rho**2)
+        - 0.5 * params.sigma * y0 - 0.5 * quad
+    )
 
 
 def test_euler_density_at_mode():
@@ -420,25 +427,33 @@ def test_sml_density_matches_gauss_hermite_oracle_at_m4(spec, params, rho):
     assert np.all(np.abs(mean - oracle) < 4.0 * se)
 
 
-@pytest.mark.parametrize("aug", [2, 24])
+@pytest.mark.parametrize("aug", [1, 2, 24])
 @pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)])
 def test_sml_weight_is_euler_over_proposal_along_the_bridge(spec, params, aug):
-    # With one draw the estimate is the single importance weight: the
-    # Euler densities along the modified-bridge path over the proposal
-    # densities of its auxiliary points.
-    cfg = _cfg(aug_steps=aug, mc_draws=1)
+    # Each importance weight is the product of the Euler densities along
+    # its modified-bridge path over the proposal densities of its
+    # auxiliary points.  Eight draws on each of three intervals go through
+    # one batch, so a draw or an interval that read another's values from
+    # a shared buffer would fail its own check.
     delta = DELTA / aug
-    u0 = np.array([0.0, gamma_transform(0.033, params.sigma)])
-    u1 = np.array([0.01, gamma_transform(0.040, params.sigma)])
-    eps = RngStream(41).generator().standard_normal((1, aug - 1, 2)) * math.sqrt(delta)
-    ld = _sml_logdensity(u0, u1, params, spec, cfg, RngStream(0), eps=step_major(eps))
-    points = bridge_points(u0, u1, params, eps[0])
-    explicit = sum(
-        float(euler_density(points[m + 1], points[m], params, spec, delta))
-        - float(proposal_density_q(points[m + 1], points[m], u1, params, m, aug, delta))
-        for m in range(aug - 1)
-    ) + float(euler_density(u1, points[-2], params, spec, delta))
-    assert ld == pytest.approx(explicit, rel=0.0, abs=1e-10)
+    cfg = _cfg(aug_steps=aug, mc_draws=8)
+    y0 = gamma_transform(np.array([0.033, 0.02, 0.05]), params.sigma)
+    y1 = gamma_transform(np.array([0.040, 0.025, 0.045]), params.sigma)
+    u0 = np.stack([np.array([0.0, 0.3, -0.2]), y0], axis=-1)
+    u1 = np.stack([np.array([0.01, 0.29, -0.18]), y1], axis=-1)
+    eps = RngStream(41).generator().standard_normal((3, 8, aug - 1, 2)) * math.sqrt(delta)
+    for rho in (-0.99, 0.0, 0.99):
+        p = dataclasses.replace(params, rho=rho)
+        logw = _sml_batch(u0, u1, p, spec, cfg, step_major(eps))
+        points = bridge_points(u0[:, None], u1[:, None], p, eps)
+        end = np.broadcast_to(u1[:, None], points.shape[:-2] + (2,))
+        explicit = sum(
+            euler_density(points[..., m + 1, :], points[..., m, :], p, spec, delta)
+            - proposal_density_q(points[..., m + 1, :], points[..., m, :], end, p, m, aug, delta)
+            for m in range(aug - 1)
+        ) + euler_density(end, points[..., -2, :], p, spec, delta)
+        assert logw.shape == (3, 8)
+        np.testing.assert_allclose(logw, explicit, rtol=0.0, atol=1e-10)
 
 
 def test_sml_underflow_reported():
@@ -638,7 +653,7 @@ def test_paper_chunk_peak_memory_is_bounded(stage, chunks, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 11e6
 
 
 def _pool_on(monkeypatch, workers):

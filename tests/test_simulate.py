@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlsv.model import gamma_transform
 from nlsv.params import DomainViolation, Measure, ParamVector, State
 from nlsv.rng import RngStream
-from nlsv.simulate import euler_step, modified_bridge_walk, simulate_paths
+from nlsv.simulate import euler_step, modified_bridge_walk, simulate_paths, y_bridge_walk
 
 from conftest import LN, LN_PARAMS, NL, NL_PARAMS, bridge_points, step_major
 
@@ -180,6 +180,44 @@ def _closed_form_fill(u0, u1, aug, params, eps):
         np.sqrt(1.0 - params.rho**2) * eps[..., 0] + params.rho * eps[..., 1]
     )
     return np.stack([_closed_form(u0[..., 0], u1[..., 0], aug, noise), y], axis=-1)
+
+
+@pytest.mark.parametrize("aug", [1, 2, 7])
+def test_walk_read_step_by_step_gives_the_closed_form(aug):
+    # The walks yield their own buffers, valid until they advance.  Read
+    # step by step, a batch of 3 intervals x 5 walks gives the closed-form
+    # lattice, s = exp(sigma*Y/2) at each departing point and, on the Y
+    # bridge alone, the same Y steps; step 0's y and s keep the endpoints'
+    # (..., 1) shape; the last step lands on u1 from the point reached;
+    # and the last of the steps collected all at once holds the final
+    # increments.
+    p = dataclasses.replace(NL_PARAMS, rho=-0.6)
+    gen = RngStream(12).generator()
+    u0 = gen.standard_normal((3, 2)) * 0.3 + np.array([0.0, -1.2])
+    u1 = u0 + gen.standard_normal((3, 2)) * 0.05
+    eps = gen.standard_normal((3, 5, aug - 1, 2)) * np.sqrt(1 / (262 * aug))
+    fill = _closed_form_fill(u0[:, None], u1[:, None], aug, p, eps)
+    reached = np.broadcast_to(u0[:, None], (3, 5, 2))
+    steps = zip(
+        modified_bridge_walk(u0, u1, p, step_major(eps)),
+        y_bridge_walk(u0[:, 1], u1[:, 1], p.sigma, step_major(eps)),
+    )
+    for m, (step, y_step) in enumerate(steps):
+        if m == 0:
+            assert step.y.shape == step.s.shape == y_step.y.shape == y_step.s.shape == (3, 1)
+        assert np.array_equal(np.broadcast_to(step.y, (3, 5)), reached[..., 1])
+        assert np.array_equal(step.s, np.exp(0.5 * p.sigma * step.y))
+        assert y_step.dx is None
+        for got, want in zip((y_step.y, y_step.s, y_step.dy), (step.y, step.s, step.dy)):
+            assert np.array_equal(got, want)
+        if m < aug - 1:
+            reached = reached + np.stack([step.dx, step.dy], axis=-1)
+            np.testing.assert_allclose(reached, fill[..., m, :], rtol=1e-12, atol=1e-12)
+        else:
+            final = np.stack([step.dx, step.dy], axis=-1).copy()
+            assert np.array_equal(final, u1[:, None] - reached)
+    *_, last = modified_bridge_walk(u0, u1, p, step_major(eps))
+    assert np.array_equal(np.stack([last.dx, last.dy], axis=-1), final)
 
 
 def test_bridge_empty_for_single_step():
