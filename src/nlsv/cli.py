@@ -202,10 +202,12 @@ def cmd_simulate(config: RunConfig) -> Files:
     families = config.families()
     if len(families) != 1:
         raise DataError("simulate needs a single model family (model = LN or NL)")
+    n = config.n_obs
+    if n < 2:
+        raise DataError(f"config key 'n_obs': need at least 2 observations, got {n}")
     family = families[0]
     params = config.param_vector()
     spec = ModelSpec(family)
-    n = config.n_obs
     dt = 1.0 / (DAYS_PER_YEAR * HOURS_PER_DAY)
     ens = simulate_paths(
         State(config.x0, config.v0),
@@ -213,7 +215,7 @@ def cmd_simulate(config: RunConfig) -> Files:
         spec,
         Measure.P,
         dt,
-        max(n - 1, 0) * HOURS_PER_DAY,
+        (n - 1) * HOURS_PER_DAY,
         1,
         RngStream(config.seed),
         record_every=HOURS_PER_DAY,
@@ -238,16 +240,17 @@ def cmd_estimate(config: RunConfig) -> Files:
 
 def _parameter_table(results: dict[str, FitResult]) -> str:
     models = list(results)
+    std_errors = {m: results[m].std_errors for m in models}
     lines = ["parameter" + "".join(f"{m:>16s}" for m in models)]
     for name in ModelSpec(Family.NL).param_names:
-        if not any(name in results[m].std_errors for m in models):
+        if not any(name in std_errors[m] for m in models):
             continue
         row = f"{name:<9s}"
         serow = " " * 9
         for m in models:
-            if name in results[m].std_errors:
+            if name in std_errors[m]:
                 row += f"{getattr(results[m].params, name):>16.5f}"
-                serow += f"{'(' + format(results[m].std_errors[name], '.5f') + ')':>16s}"
+                serow += f"{'(' + format(std_errors[m][name], '.5f') + ')':>16s}"
             else:
                 row += f"{'':>16s}"
                 serow += f"{'':>16s}"

@@ -55,7 +55,7 @@ COND_THRESHOLD = 1e12
 
 #: Lattice points in one chunk of intervals: the EML chunk of 128
 #: intervals at the paper's S = 576 walks of M + 1 = 25 points.  A chunk's
-#: innovations are twice this many floats, (M-1, 2, B, R) step-major, and
+#: innovations (:func:`eps_shape`) are nearly twice this many floats, and
 #: a block walks them in (B, R) slabs of CHUNK_POINTS/(M+1) floats, each
 #: allocated once: 3 for the Y bridge, 3 for the price, and 6 for the
 #: likelihood or one per design row (at most 8) for a drift system.
@@ -121,25 +121,47 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="nlsv-chunks")
 
 
+def eps_shape(n_intervals: int, n_draws: int, aug_steps: int) -> tuple[int, int, int, int]:
+    """The layout of bridge innovations, (M-1, 2, intervals, draws): each
+    walk step reads two C-contiguous (intervals, draws) slabs."""
+    return (aug_steps - 1, 2, n_intervals, n_draws)
+
+
 def map_chunks(
-    block: Callable[[int, int], np.ndarray], n_intervals: int, n_draws: int, aug_steps: int
-) -> list[np.ndarray]:
-    """``block(lo, hi)`` over consecutive blocks of intervals 0 .. n-1, in
-    index order: chunks on the calling thread, or, from ``POOL_POINTS``
-    lattice points (n * n_draws * (aug_steps + 1)) per worker, blocks of
-    at most a ``WORKERS``-th of a chunk and of the call on ``WORKERS``
-    threads, which overlap where numpy releases the interpreter lock.
-    Either way at most ``CHUNK_POINTS`` points are in flight.  ``block``
-    must give each interval's part independently of its block, and set
-    numpy's error state itself: pool threads do not inherit the caller's.
+    block: Callable[[int, int, np.ndarray], np.ndarray], indices: np.ndarray, n_draws: int,
+    aug_steps: int, delta: float, rng: RngStream, eps: np.ndarray | None,
+) -> np.ndarray:
+    """``block(lo, hi, eps_blk)`` over consecutive blocks of the intervals
+    ``indices``, joined in index order: chunks on the calling thread, or,
+    from ``POOL_POINTS`` lattice points (n * n_draws * (aug_steps + 1))
+    per worker, blocks of at most a ``WORKERS``-th of a chunk and of the
+    call on ``WORKERS`` threads, which overlap where numpy releases the
+    interpreter lock.  Either way at most ``CHUNK_POINTS`` points are in
+    flight.  ``eps_blk`` is the slice ``eps[:, :, lo:hi]`` of innovations
+    pre-drawn for ``indices`` as :func:`eps_shape` lays them out, or
+    without ``eps`` the draws of ``indices[lo:hi]``, the same either way.
+    ``block`` must give each interval's part independently of its block,
+    and set numpy's error state itself: pool threads do not inherit the
+    caller's.
     """
+    n_intervals = len(indices)
+    if eps is not None and eps.shape != (expected := eps_shape(n_intervals, n_draws, aug_steps)):
+        raise DomainViolation(
+            f"innovations have shape {eps.shape}, expected (M-1, 2, intervals, draws) = {expected}"
+        )
     chunk = chunk_intervals(n_draws, aug_steps)
-    if WORKERS > 1 and n_intervals * n_draws * (aug_steps + 1) >= POOL_POINTS * WORKERS:
-        size = max(1, min(chunk // WORKERS, -(-n_intervals // WORKERS)))
-        return list(_pool(WORKERS).map(
-            lambda lo: block(lo, min(lo + size, n_intervals)), range(0, n_intervals, size)
-        ))
-    return [block(lo, min(lo + chunk, n_intervals)) for lo in range(0, n_intervals, chunk)]
+    pooled = WORKERS > 1 and n_intervals * n_draws * (aug_steps + 1) >= POOL_POINTS * WORKERS
+    size = max(1, min(chunk // WORKERS, -(-n_intervals // WORKERS))) if pooled else chunk
+
+    def part(lo: int) -> np.ndarray:
+        hi = min(lo + size, n_intervals)
+        eps_blk = eps[:, :, lo:hi] if eps is not None else draw_bridge_eps(
+            rng, indices[lo:hi], n_draws, aug_steps, delta
+        )
+        return block(lo, hi, eps_blk)
+
+    mapper = _pool(WORKERS).map if pooled else map
+    return np.concatenate(list(mapper(part, range(0, n_intervals, size))))
 
 
 class Regression(NamedTuple):
@@ -188,13 +210,13 @@ def assemble_system(
     and summed over the intervals, from which each solver forms its
     normal equations.
 
-    The walks of an interval are drawn from the substream keyed by its
-    absolute index, and per-interval sums are reduced in index order, so
-    the result is independent of any processing partition.
     :func:`map_chunks` walks blocks of intervals, on ``WORKERS`` threads
     from ``POOL_POINTS`` lattice points per worker, so memory is bounded
-    by ``CHUNK_POINTS`` lattice points in flight; without a pre-drawn
-    ``eps`` the innovations are drawn block by block too.
+    by ``CHUNK_POINTS`` lattice points in flight, and hands each block its
+    slice of ``eps``, pre-drawn for intervals 1 .. N-1, or its own draws.
+    An interval's walks come from the substream keyed by its absolute
+    index and per-interval sums are reduced in index order, so the result
+    is independent of any processing partition.
     """
     y_obs = np.asarray(y_obs, dtype=float)
     n_intervals = len(y_obs) - 1
@@ -207,16 +229,10 @@ def assemble_system(
         u = np.stack([np.asarray(x_obs, dtype=float), y_obs], axis=-1)
 
     idx = np.arange(1, n_intervals)
-    if eps is not None:
-        check_eps(eps, len(idx), n_bridges, aug_steps)
     n_basis = regression.n_basis
 
-    def block_sums(lo: int, hi: int) -> np.ndarray:
+    def block_sums(lo: int, hi: int, eps_blk: np.ndarray) -> np.ndarray:
         block = idx[lo:hi]
-        eps_blk = (                      # (M-1, 2, B, R)
-            eps[:, :, lo:hi] if eps is not None
-            else draw_bridge_eps(rng, block, n_bridges, aug_steps, delta)
-        )
         walk = (
             y_bridge_walk(y_obs[block], y_obs[block + 1], params.sigma, eps_blk)
             if x_obs is None
@@ -232,7 +248,7 @@ def assemble_system(
                 sums += np.matmul(by_interval, basis, out=product)
         return sums
 
-    sums = np.concatenate(map_chunks(block_sums, len(idx), n_bridges, aug_steps))
+    sums = map_chunks(block_sums, idx, n_bridges, aug_steps, delta, rng, eps)
     finite = np.isfinite(sums).all(axis=(1, 2))
     if not np.all(finite):
         raise DomainViolation(
@@ -248,31 +264,19 @@ def assemble_system(
 def draw_bridge_eps(
     rng: RngStream, interval_indices, n_draws: int, aug_steps: int, delta: float
 ) -> np.ndarray:
-    """N(0, delta) bridge innovations for a set of intervals, step-major.
-
-    Shape (aug_steps - 1, 2, len(indices), n_draws), so that each step of
-    the walk reads two C-contiguous (intervals, draws) slabs.  Interval
-    i's draws are the (n_draws, aug_steps - 1, 2) block of
-    ``rng.substream(i)``, whatever its position, so any partitioning of
-    intervals across workers sees identical draws.
+    """N(0, delta) bridge innovations for a set of intervals, laid out as
+    :func:`eps_shape`.  Interval i's draws are the (n_draws,
+    aug_steps - 1, 2) block of ``rng.substream(i)``, whatever its
+    position, so any partitioning of intervals across workers sees
+    identical draws.
     """
     interval_indices = np.asarray(interval_indices, dtype=int)
-    out = lattice_buffers((aug_steps - 1, 2, len(interval_indices), n_draws), 1)[0]
+    out = lattice_buffers(eps_shape(len(interval_indices), n_draws, aug_steps), 1)[0]
     scale = np.sqrt(delta)
     for j, n in enumerate(interval_indices):
         block = rng.substream(int(n)).generator().standard_normal((n_draws, aug_steps - 1, 2))
         np.multiply(block.transpose(1, 2, 0), scale, out=out[:, :, j])
     return out
-
-
-def check_eps(eps: np.ndarray, n_intervals: int, n_draws: int, aug_steps: int) -> None:
-    """Raise :class:`DomainViolation` unless pre-drawn innovations have the
-    shape :func:`draw_bridge_eps` gives these intervals and budgets."""
-    expected = (aug_steps - 1, 2, n_intervals, n_draws)
-    if eps.shape != expected:
-        raise DomainViolation(
-            f"innovations have shape {eps.shape}, expected (M-1, 2, intervals, draws) = {expected}"
-        )
 
 
 def _variance_design(step: BridgeStep, delta: float, params: ParamVector, spec: ModelSpec,

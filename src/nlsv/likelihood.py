@@ -59,12 +59,12 @@ class LikelihoodConfig:
     modified-bridge walks per interval (config key ``S``) that the drift
     solves and the likelihood average over; the default pairing keeps
     S = M^2 = 576.  ``seed``, ``max_iter``, ``restarts`` and ``min_obs``
-    are the config keys of the same names.  Memory is bounded by the
-    budgets alone: the drift solves and the likelihood evaluate
-    ``eml.chunk_intervals`` intervals at a time, at most
-    ``eml.CHUNK_POINTS`` lattice points.  From ``eml.POOL_POINTS`` points
-    per worker, ``eml.WORKERS`` threads (one per CPU this process may use)
-    share those points, with bitwise the same results.
+    are the config keys of the same names.  Beyond the innovations ``fit``
+    caches, at most ``_EPS_CACHE_LIMIT`` bytes each, memory is bounded by
+    the budgets: ``eml.map_chunks`` walks every lattice pass at most
+    ``eml.CHUNK_POINTS`` lattice points at a time, and from
+    ``eml.POOL_POINTS`` points per worker on ``eml.WORKERS`` threads (one
+    per CPU this process may use), with bitwise the same results.
 
     The class constants are not settings: ``delta_obs`` is a trading day
     and ``swap_tenor`` the implied-variance tenor, in years.  Only the
@@ -101,7 +101,6 @@ class FitResult:
     spec: ModelSpec
     loglik: float
     covariance: np.ndarray
-    std_errors: dict[str, float]
     converged: bool
     n_iterations: int
     n_evaluations: int
@@ -111,6 +110,13 @@ class FitResult:
     def param_names(self) -> tuple[str, ...]:
         return self.spec.param_names
 
+    @property
+    def std_errors(self) -> dict[str, float]:
+        """Square roots of the covariance's diagonal, clipped at zero, by
+        parameter name; empty for a fit without the sandwich."""
+        se = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        return dict(zip(self.param_names, map(float, se)))
+
     def to_dict(self) -> dict:
         return {
             "kind": "fit_result",
@@ -119,7 +125,7 @@ class FitResult:
             "loglik": self.loglik,
             "param_names": list(self.param_names),
             "covariance": [[float(v) for v in row] for row in self.covariance],
-            "std_errors": {k: float(v) for k, v in self.std_errors.items()},
+            "std_errors": self.std_errors,
             "converged": self.converged,
             "n_iterations": self.n_iterations,
             "n_evaluations": self.n_evaluations,
@@ -135,7 +141,6 @@ class FitResult:
             spec=spec,
             loglik=float(payload["loglik"]),
             covariance=np.asarray(payload["covariance"], dtype=float),
-            std_errors={k: float(v) for k, v in payload["std_errors"].items()},
             converged=bool(payload["converged"]),
             n_iterations=int(payload["n_iterations"]),
             n_evaluations=int(payload["n_evaluations"]),
@@ -269,17 +274,15 @@ def total_loglik(
     domain, or at which every importance weight of some interval
     underflows, evaluate to -inf (with contributions None).
 
-    Per-interval draws come from ``rng.substream(i)``, so the value does
-    not depend on how intervals are partitioned across workers.
     :func:`nlsv.eml.map_chunks` evaluates blocks of intervals, their S
     walks step by step, so memory is bounded by ``eml.CHUNK_POINTS``
-    lattice points in flight; without a pre-drawn ``eps``, (M-1, 2, N, S) as
-    :func:`nlsv.eml.draw_bridge_eps` gives it, the innovations are drawn
-    block by block too.  At M = 1 there are none, and each interval's
-    density is the Euler density of its one step.
+    lattice points in flight, and hands each block its slice of ``eps``,
+    pre-drawn for intervals 0 .. N-1, or its own draws from
+    ``rng.substream(i)``, so the value does not depend on how intervals
+    are partitioned across workers.  At M = 1 there are none, and each
+    interval's density is the Euler density of its one step.  ``eps`` is
+    checked where a walk reads it, so not at a point that is -inf before.
     """
-    if eps is not None:
-        eml.check_eps(eps, len(series.x) - 1, config.mc_draws, config.aug_steps)
     try:
         x, y = series_to_lattice_coords(series, params, config.swap_tenor)
     except DomainViolation:
@@ -290,17 +293,15 @@ def total_loglik(
         raise DomainViolation("series must contain at least 2 observations")
     u = np.stack([x, y], axis=-1)
 
-    delta = config.delta_obs / config.aug_steps
-
-    def block_logp(lo: int, hi: int) -> np.ndarray:
-        eps_blk = eps[:, :, lo:hi] if eps is not None else eml.draw_bridge_eps(
-            rng, np.arange(lo, hi), config.mc_draws, config.aug_steps, delta
-        )
+    def block_logp(lo: int, hi: int, eps_blk: np.ndarray) -> np.ndarray:
         return _log_mean_weight(
             _sml_batch(u[lo:hi], u[lo + 1 : hi + 1], params, spec, config, eps_blk)
         )
 
-    logp = np.concatenate(eml.map_chunks(block_logp, n, config.mc_draws, config.aug_steps))
+    logp = eml.map_chunks(
+        block_logp, np.arange(n), config.mc_draws, config.aug_steps,
+        config.delta_obs / config.aug_steps, rng, eps,
+    )
 
     if not np.all(np.isfinite(logp)):
         return (-np.inf, None) if return_contributions else -np.inf
@@ -398,25 +399,16 @@ def _profile_params(
 _EPS_CACHE_LIMIT = 1_000_000_000
 
 
-def _cached_eps(rng: RngStream, indices: np.ndarray, n_draws: int, config: LikelihoodConfig):
-    """All innovations of the given intervals, step-major as
-    :func:`nlsv.eml.draw_bridge_eps` lays them out and empty at M = 1, or
-    None when they would exceed ``_EPS_CACHE_LIMIT`` bytes; callers then
-    draw chunk by chunk."""
-    n_bytes = len(indices) * n_draws * (config.aug_steps - 1) * 2 * 8
-    if n_bytes > _EPS_CACHE_LIMIT:
-        return None
-    return eml.draw_bridge_eps(
-        rng, indices, n_draws, config.aug_steps, config.delta_obs / config.aug_steps
-    )
-
-
 def _maybe_cache_eps(series, config: LikelihoodConfig, rng_eml: RngStream, rng_sml: RngStream):
-    """Pre-draw the parameter-independent innovations when they fit in memory."""
+    """The innovations of the drift systems (intervals 1 .. N-1) and of the
+    likelihood (0 .. N-1) that ``fit`` hands every evaluation, each None
+    over ``_EPS_CACHE_LIMIT`` bytes: evaluations then draw block by block."""
     n = len(series.iv) - 1
-    return (
-        _cached_eps(rng_eml, np.arange(1, n), config.mc_draws, config),
-        _cached_eps(rng_sml, np.arange(n), config.mc_draws, config),
+    m, s, delta = config.aug_steps, config.mc_draws, config.delta_obs / config.aug_steps
+    return tuple(
+        eml.draw_bridge_eps(rng, idx, s, m, delta)
+        if 8 * math.prod(eml.eps_shape(len(idx), s, m)) <= _EPS_CACHE_LIMIT else None
+        for rng, idx in ((rng_eml, np.arange(1, n)), (rng_sml, np.arange(n)))
     )
 
 
@@ -489,14 +481,13 @@ def fit(
 
     # The objective is deterministic: its best value is -loglik at theta_star.
     theta_star = _profile_params(best.x, series, spec, config, base, rng_eml, eml_eps)
-    names, cov, se = (sandwich_errors(series, theta_star, spec, config, sml_eps=sml_eps)
-                      if errors else ((), np.empty((0, 0)), ()))
+    cov = (sandwich_errors(series, theta_star, spec, config, sml_eps=sml_eps)
+           if errors else np.empty((0, 0)))
     return FitResult(
         params=theta_star,
         spec=spec,
         loglik=float(-best.fun),
         covariance=cov,
-        std_errors=dict(zip(names, se)),
         converged=converged,
         n_iterations=n_iterations,
         n_evaluations=evaluations,
@@ -520,22 +511,21 @@ def sandwich_errors(
     spec: ModelSpec,
     config: LikelihoodConfig,
     sml_eps: np.ndarray | None = None,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Huber sandwich covariance H^{-1} OPG H^{-1} / N for the full vector.
+) -> np.ndarray:
+    """Huber sandwich covariance H^{-1} OPG H^{-1} / N for the full vector,
+    in the order of ``spec.param_names``.
 
     Scores are per-observation central differences with relative step
     ``_SCORE_STEP`` in the unconstrained parameterization; the Hessian
     uses the 4-point cross scheme at the larger ``_HESSIAN_STEP``.  The
-    result is mapped back to natural parameter units, and the returned
-    standard errors are the square roots of its diagonal.
+    result is mapped back to natural parameter units.  Without the
+    ``sml_eps`` that ``fit`` caches, the likelihood draws block by block.
     """
     names = spec.param_names
     rng_sml = RngStream(config.seed, STREAM_SML)
     eta0 = to_unconstrained(theta_star, names)
     p = len(names)
     n_obs = len(series.iv) - 1
-    if sml_eps is None:
-        sml_eps = _cached_eps(rng_sml, np.arange(n_obs), config.mc_draws, config)
 
     def contributions(eta: np.ndarray) -> np.ndarray:
         params = from_unconstrained(eta, names, theta_star)
@@ -578,10 +568,8 @@ def sandwich_errors(
     try:
         h_inv = np.linalg.inv(h_avg)
     except np.linalg.LinAlgError as exc:
-        raise eml.IllConditionedSystem(np.inf, f"Hessian not invertible: {exc}") from exc
+        raise DomainViolation(f"Hessian not invertible: {exc}") from exc
     cov_eta = h_inv @ opg @ h_inv / n_obs
     cov_eta = 0.5 * (cov_eta + cov_eta.T)
     jac = _transform_jacobian(theta_star, names)
-    cov = cov_eta * np.outer(jac, jac)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return names, cov, se
+    return cov_eta * np.outer(jac, jac)

@@ -85,12 +85,18 @@ def test_simulate_deterministic_and_manifest_rerun(sim_dir, tmp_path):
     assert (out2 / "series.csv").read_bytes() == (out / "series.csv").read_bytes()
 
 
-def test_simulate_zero_rows_header_only(tmp_path):
-    cfg = tmp_path / "empty.cfg"
-    cfg.write_text(SIM_CFG.replace("n_obs = 220", "n_obs = 0"))
-    out = tmp_path / "empty"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "series.csv").read_text() == "date,price,vxo\n"
+@pytest.mark.parametrize("n_obs", [0, 1])
+def test_simulate_below_two_observations_nonzero_exit(tmp_path, capsys, n_obs):
+    # A series of fewer than two observations holds no interval, and every
+    # later command would reject it: it is refused before any file is
+    # written.
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SIM_CFG.replace("n_obs = 220", f"n_obs = {n_obs}"))
+    out = tmp_path / "short"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "n_obs" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_simulate_unknown_vxo_unit_nonzero_exit(tmp_path, capsys):
@@ -166,6 +172,22 @@ def test_estimate_deterministic(estimate_dir, sim_dir, tmp_path):
     assert code == 0
     assert (est2 / "fit_LN.json").read_bytes() == (est / "fit_LN.json").read_bytes()
     assert (est2 / "fit_NL.json").read_bytes() == (est / "fit_NL.json").read_bytes()
+
+
+def test_singular_sandwich_hessian_nonzero_exit(sim_dir, tmp_path, capsys, monkeypatch):
+    # A Hessian the sandwich cannot invert leaves the fit without errors:
+    # the command exits 1 naming it, and writes no manifest.
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG.format(split=_split_date(sim_dir)) + "model = LN\n")
+    out = tmp_path / "est"
+    argv = ["estimate", "--config", str(cfg), "--input", _series_csv(sim_dir), "--out", str(out)]
+    assert main(argv) == 1
+    assert "Hessian not invertible" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_malformed_csv_nonzero_exit(tmp_path, capsys):
@@ -487,8 +509,7 @@ def _save_anchor_fit(path):
 
     anchor = FitResult(
         params=NL_PARAMS, spec=ModelSpec(Family.NL), loglik=0.0, covariance=np.zeros((1, 1)),
-        std_errors={"sigma": 0.0}, converged=True, n_iterations=0,
-        n_evaluations=0, seed=0,
+        converged=True, n_iterations=0, n_evaluations=0, seed=0,
     )
     save_results(anchor, path)
     return str(path)

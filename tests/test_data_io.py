@@ -180,7 +180,7 @@ def test_fit_result_writes_estimated_params_and_loads_old_files(tmp_path):
     # also held the unread r and c still loads, to the same parameters.
     fit = FitResult(
         params=LN_PARAMS, spec=LN, loglik=1.5, covariance=np.eye(7),
-        std_errors={}, converged=True, n_iterations=3, n_evaluations=9, seed=4,
+        converged=True, n_iterations=3, n_evaluations=9, seed=4,
     )
     payload = fit.to_dict()
     assert list(payload["params"]) == list(LN.param_names)

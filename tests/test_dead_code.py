@@ -6,7 +6,9 @@ re-exports do not count) is reachable only from tests: delete it, or
 allow it below with the reason it stays.  The same holds for a member of
 an ``Enum`` that no module references by name, as ``Family.RW``: it is a
 case that only tests reach; and for a ``ClassVar`` constant of a class
-that no module reads: it is a setting with no effect.
+that no module reads: it is a setting with no effect; and for a
+module-level constant that no module reads, other than a dunder such as
+``__version__``.
 
 A parameter of a function, method or nested function that its body
 never reads is a setting with no effect: delete it.  Lambdas are exempt,
@@ -42,6 +44,9 @@ ALLOWED = {
     # input series with this function; the next benchmark change may
     # delete it.
     "data_io.write_series_csv",
+    # Forecasts draw nothing, but the benchmark's forecast workload seeds
+    # its stream with this id; the next benchmark change deletes it.
+    "forecasting.STREAM_FORECAST",
 }
 
 
@@ -63,6 +68,10 @@ def _definitions(stem: str, tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, f"{stem}.{node.name}"
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, f"{stem}.{target.id}"
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):

@@ -447,17 +447,48 @@ def test_map_chunks_raises_the_first_failed_block_in_index_order(monkeypatch):
     # An exception raised on a pool thread propagates out of the map; of
     # several failed blocks, the earliest is raised, as inline.
     _pool_on(monkeypatch, 2)
+    eps = np.zeros(nlsv.eml.eps_shape(100, 8, 4))
 
-    def block(lo, hi):
+    def block(lo, hi, eps_blk):
         if lo >= 36:
             raise DomainViolation(f"block {lo}")
         return np.arange(lo, hi)
 
+    def run(block):
+        return nlsv.eml.map_chunks(block, np.arange(100), 8, 4, DELTA / 4, RngStream(3, 9), eps)
+
     with pytest.raises(DomainViolation, match="block 36"):
-        nlsv.eml.map_chunks(block, 100, 8, 4)
-    parts = nlsv.eml.map_chunks(lambda lo, hi: np.arange(lo, hi), 100, 8, 4)
-    assert [len(p) for p in parts] == [18] * 5 + [10]
-    assert np.array_equal(np.concatenate(parts), np.arange(100))
+        run(block)
+    assert np.array_equal(run(lambda lo, hi, eps_blk: np.array([hi - lo])), [18] * 5 + [10])
+    assert np.array_equal(run(lambda lo, hi, eps_blk: np.arange(lo, hi)), np.arange(100))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "indices", [np.arange(100), np.arange(1, 100), np.arange(2, 300, 3)],
+    ids=["0..n", "1..n", "strided"],
+)
+def test_map_chunks_hands_each_block_its_innovations(monkeypatch, indices, workers):
+    # Each block gets the slice eps[:, :, lo:hi] of pre-drawn innovations,
+    # or with none the draws of indices[lo:hi], serially and on the pool:
+    # a block that returns its bounds and its slab, interval by interval,
+    # rebuilds the whole array in index order.
+    def digest(lo, hi, eps_blk):
+        names.add(threading.current_thread().name)
+        return np.column_stack([np.arange(lo, hi), np.moveaxis(eps_blk, 2, 0).reshape(hi - lo, -1)])
+
+    _pool_on(monkeypatch, workers)
+    rng, names = RngStream(3, 9), set()
+    eps = draw_bridge_eps(rng, indices, 8, 4, DELTA / 4)
+    expected = digest(0, len(indices), eps)
+    for given in (eps, None):
+        names.clear()
+        got = nlsv.eml.map_chunks(digest, indices, 8, 4, DELTA / 4, rng, given)
+        assert np.array_equal(got, expected)
+        if workers == 1:
+            assert names == {threading.current_thread().name}
+        else:
+            assert names and all(n.startswith("nlsv-chunks") for n in names)
 
 
 @given(n=st.integers(2, 148), chunk=st.integers(1, 40), workers=st.sampled_from([2, 3]))

@@ -936,10 +936,29 @@ def test_sandwich_properties_and_rate():
     ses = {}
     for n in (1000, 4000):
         series = make_series(LN_PARAMS, LN, n, 2029, v0=0.033)
-        names, cov, se = sandwich_errors(series, LN_PARAMS, LN, cfg)
+        cov = sandwich_errors(series, LN_PARAMS, LN, cfg)
+        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         assert np.max(np.abs(cov - cov.T)) < 1e-10
         assert np.all(np.isfinite(se)) and np.all(se > 0)
-        ses[n] = dict(zip(names, se))
+        ses[n] = dict(zip(LN.param_names, se))
     for name in ("sigma", "b1"):
         ratio = ses[1000][name] / ses[4000][name]
         assert 1.3 < ratio < 3.1  # ~ sqrt(4) = 2
+
+
+@pytest.mark.parametrize("spec, params", [(LN, LN_PARAMS), (NL, NL_PARAMS)], ids=["LN", "NL"])
+def test_sandwich_without_draws_equals_it_on_the_draws_fit_caches(monkeypatch, spec, params):
+    # Without draws the sandwich's likelihood draws block by block from
+    # the same substreams, so its covariance is bitwise the one on the
+    # draws that fit caches and hands it.
+    series = make_series(params, spec, 120, 31)
+    cfg = _cfg(aug_steps=3, mc_draws=4)
+    monkeypatch.setattr(eml, "CHUNK_POINTS", 32 * 4 * 4)  # chunks of 32 intervals
+    _, sml_eps = likelihood._maybe_cache_eps(
+        series, cfg, RngStream(cfg.seed, likelihood.STREAM_EML),
+        RngStream(cfg.seed, likelihood.STREAM_SML),
+    )
+    assert sml_eps.shape == eml.eps_shape(119, 4, 3)
+    cached = sandwich_errors(series, params, spec, cfg, sml_eps=sml_eps)
+    assert cached.shape == (len(spec.param_names),) * 2 and np.all(np.isfinite(cached))
+    assert np.array_equal(sandwich_errors(series, params, spec, cfg), cached)
